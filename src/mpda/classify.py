@@ -69,6 +69,12 @@ def is_weak(m: Mpda) -> WeaknessResult:
         path.append(cur)
 
 
+def require_weak(m: Mpda) -> None:
+    wk = is_weak(m)
+    if not wk.weak:
+        raise NotWeak(f"state cycle: {' -> '.join(wk.cycle or ())}")
+
+
 CancelTable = dict[tuple[str, StackSymbol], tuple[TransitionRule, ...]]
 
 
@@ -153,9 +159,7 @@ def is_normed(m: Mpda) -> NormResult:
     state changes.  Raises NotWeak otherwise."""
     from .wqo import decide_wqo
 
-    wk = is_weak(m)
-    if not wk.weak:
-        raise NotWeak(f"state cycle: {' -> '.join(wk.cycle or ())}")
+    require_weak(m)
     for q in m.states:
         for alpha in m.alphabets:
             for sym in alpha:

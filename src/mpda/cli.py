@@ -2,7 +2,8 @@
 
 Every command prints one JSON record (machine-readable run report) followed
 by a short human summary.  Exit codes for `reach`: 0 reachable,
-1 unreachable, 2 unknown / out of budget, 3 usage or input error.
+1 unreachable, 2 unknown / out of budget; for every command: 3 usage or
+input error, 4 internal error (with a traceback on stderr).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+import traceback
 from pathlib import Path
 
 from . import classify as cls
@@ -29,6 +31,13 @@ def _read(path: str) -> str:
         raise CliError(f"cannot read {path}: {e}") from None
 
 
+def _int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise CliError(f"{what}: expected an integer, got {text!r}") from None
+
+
 def _load_mpda(path: str) -> Mpda:
     return formats.parse_mpda(_read(path))
 
@@ -40,9 +49,30 @@ def _endpoint(spec: str, m: Mpda):
     return formats.parse_configuration(spec, m)
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as e:
+        raise CliError(f"cannot write {path}: {e}") from None
+
+
 def _report(record: dict, summary: str) -> None:
     print(json.dumps(record, sort_keys=True))
     print(summary)
+
+
+def _emit_regset(args, R) -> int:
+    """Write R to --out with a report, or print it."""
+    text = formats.serialize_regset(R)
+    if not args.out:
+        print(text, end="")
+        return 0
+    _write(args.out, text)
+    record = {"command": args.cmd, "out": args.out}
+    if args.cmd == "regset":
+        record["op"] = args.op
+    _report(record, f"wrote {args.out}")
+    return 0
 
 
 # ----------------------------------------------------------------- classify
@@ -120,7 +150,8 @@ def cmd_reach(args) -> int:
             verdict = oracle.reach_config(m, src, tgt, budget)
         else:
             verdict = oracle.reach_regset(m, src, tgt, budget)
-        status = {"reachable": "reachable", "unreachable-complete": "unreachable", "unreachable-budget": "unknown"}[verdict.status]
+        # unreachable only when no cap cut the search, the size cap included
+        status = "reachable" if verdict.reachable else "unreachable" if verdict.complete and not verdict.truncated else "unknown"
         witness = verdict.witness
         extra = {"explored": verdict.explored, "truncated": verdict.truncated}
     elif method == "marked":
@@ -141,7 +172,8 @@ def cmd_reach(args) -> int:
         if not isinstance(tgt, Configuration):
             raise CliError("--method wqo needs a single target configuration")
         if isinstance(src, Configuration):
-            status = "reachable" if wqo.decide_wqo(m, src, tgt) else "unreachable"
+            witness = wqo.reach_wqo(m, src, tgt)
+            status = "reachable" if witness is not None else "unreachable"
         else:
             res = wqo.decide_reg_to_one(m, src, tgt, src_cap=args.src_cap)
             status = "reachable" if res.reachable else "unreachable"
@@ -155,7 +187,7 @@ def cmd_reach(args) -> int:
         status = {"reachable": "reachable", "unreachable": "unreachable", "unknown": "unknown"}[sres.status]
         witness = sres.witness
         if sres.certificate is not None and args.certificate:
-            Path(args.certificate).write_text(formats.serialize_regset(sres.certificate.separator))
+            _write(args.certificate, formats.serialize_regset(sres.certificate.separator))
             extra["certificate_file"] = args.certificate
     else:
         raise CliError(f"unknown method {method!r}")
@@ -172,7 +204,7 @@ def cmd_reach(args) -> int:
         record["witness_length"] = len(witness.steps)
         summary += f"; witness of length {len(witness.steps)}"
         if args.witness:
-            Path(args.witness).write_text(formats.serialize_witness(witness))
+            _write(args.witness, formats.serialize_witness(witness))
             record["witness_file"] = args.witness
     _report(record, summary)
     return {"reachable": 0, "unreachable": 1, "unknown": 2}[status]
@@ -185,7 +217,7 @@ def cmd_gen(args) -> int:
     if fam == "anbncn":
         inst = gadgets.anbncn()
     elif fam.startswith("expo:"):
-        inst = gadgets.expo(int(fam.split(":", 1)[1]))
+        inst = gadgets.expo(_int(fam.split(":", 1)[1], "expo:N"))
     elif fam == "nonreg-forward":
         inst = gadgets.nonreg_forward()
     elif fam == "cfg-intersection":
@@ -201,10 +233,13 @@ def cmd_gen(args) -> int:
     else:
         raise CliError(f"unknown family {fam!r} (try anbncn, expo:N, nonreg-forward, cfg-intersection, comm-free)")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "machine.mpda").write_text(formats.serialize_mpda(inst.mpda))
-    (out / "source.cfg").write_text(formats.serialize_configuration(inst.source) + "\n")
-    (out / "target.regset").write_text(formats.serialize_regset(inst.target))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise CliError(f"cannot create {out}: {e}") from None
+    _write(str(out / "machine.mpda"), formats.serialize_mpda(inst.mpda))
+    _write(str(out / "source.cfg"), formats.serialize_configuration(inst.source) + "\n")
+    _write(str(out / "target.regset"), formats.serialize_regset(inst.target))
     _report(
         {"command": "gen", "family": inst.name, "out": str(out)},
         f"wrote machine.mpda, source.cfg, target.regset for {inst.name} to {out}",
@@ -221,13 +256,14 @@ def _comm_free_from_spec(text: str) -> gadgets.GadgetInstance:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        where = f"counter spec line {lineno}"
         if line.startswith("source:"):
-            source = tuple(int(x) for x in line.split(":", 1)[1].split())
+            source = tuple(_int(x, where) for x in line.split(":", 1)[1].split())
         elif line.startswith("target:"):
-            target = tuple(int(x) for x in line.split(":", 1)[1].split())
+            target = tuple(_int(x, where) for x in line.split(":", 1)[1].split())
         elif line.startswith("rule"):
             head, _, body = line.partition(":")
-            rules.append((int(head.split()[1]), tuple(int(x) for x in body.split())))
+            rules.append((_int(head[len("rule"):], where), tuple(_int(x, where) for x in body.split())))
         else:
             raise CliError(f"counter spec line {lineno}: unrecognized line")
     if source is None or target is None:
@@ -240,6 +276,9 @@ def _comm_free_from_spec(text: str) -> gadgets.GadgetInstance:
 def cmd_regset(args) -> int:
     m = _load_mpda(args.machine)
     op = args.op
+    arity = {"member": 2, "union": 2, "intersect": 2, "complement": 1, "is-empty": 1, "is-subset": 2, "enumerate": 2}[op]
+    if len(args.args) != arity:
+        raise CliError(f"regset {op} takes {arity} argument(s), got {len(args.args)}")
 
     def load(path: str):
         return formats.parse_regset(_read(path), m)
@@ -252,23 +291,9 @@ def cmd_regset(args) -> int:
         return 0
     if op in ("union", "intersect"):
         L, M = load(args.args[0]), load(args.args[1])
-        R = regsets.union(L, M) if op == "union" else regsets.intersect(L, M)
-        text = formats.serialize_regset(R)
-        if args.out:
-            Path(args.out).write_text(text)
-            _report({"command": "regset", "op": op, "out": args.out}, f"wrote {args.out}")
-        else:
-            print(text, end="")
-        return 0
+        return _emit_regset(args, regsets.union(L, M) if op == "union" else regsets.intersect(L, M))
     if op == "complement":
-        R = regsets.complement(load(args.args[0]), m, budget=args.budget)
-        text = formats.serialize_regset(R)
-        if args.out:
-            Path(args.out).write_text(text)
-            _report({"command": "regset", "op": op, "out": args.out}, f"wrote {args.out}")
-        else:
-            print(text, end="")
-        return 0
+        return _emit_regset(args, regsets.complement(load(args.args[0]), m, budget=args.budget))
     if op == "is-empty":
         res = regsets.is_empty(load(args.args[0]))
         _report({"command": "regset", "op": op, "empty": res}, "empty" if res else "nonempty")
@@ -279,7 +304,7 @@ def cmd_regset(args) -> int:
         return 0
     if op == "enumerate":
         L = load(args.args[0])
-        max_size = int(args.args[1])
+        max_size = _int(args.args[1], "size bound")
         members = [str(c) for c in regsets.enumerate_members(L, max_size)]
         _report({"command": "regset", "op": op, "members": members}, "\n".join(members) or "(no members)")
         return 0
@@ -291,14 +316,7 @@ def cmd_regset(args) -> int:
 def cmd_pre(args) -> int:
     m = _load_mpda(args.machine)
     M = formats.parse_regset(_read(args.set), m)
-    R = regsets.pre_image(m, M)
-    text = formats.serialize_regset(R)
-    if args.out:
-        Path(args.out).write_text(text)
-        _report({"command": "pre", "out": args.out}, f"wrote {args.out}")
-    else:
-        print(text, end="")
-    return 0
+    return _emit_regset(args, regsets.pre_image(m, M))
 
 
 # ------------------------------------------------------------------- shrink
@@ -378,10 +396,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args)
     except (CliError, formats.ParseError, MpdaError, cls.NotWeak, cls.NotStronglyNormed,
-            regsets.TooLarge, oracle.SourceNotInL, gadgets.BadGrammar, IndexError, ValueError) as e:
+            regsets.TooLarge, oracle.SourceNotInL, gadgets.BadGrammar) as e:
         print(json.dumps({"command": args.cmd, "error": str(e)}), file=sys.stderr)
         print(f"error: {e}", file=sys.stderr)
         return 3
+    except Exception as e:
+        print(json.dumps({"command": args.cmd, "internal_error": f"{type(e).__name__}: {e}"}), file=sys.stderr)
+        traceback.print_exc()
+        return 4
 
 
 if __name__ == "__main__":

@@ -7,8 +7,6 @@ line, tokens are whitespace-separated, and '{', '}', '(', ')', '|', ':' and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .model import (
     Configuration,
     Mpda,
@@ -428,9 +426,3 @@ def serialize_regset(L: RegSet) -> str:
         lines.append("  }")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-# ------------------------------------------------------------ marked paths
-
-def serialize_marked_word(word) -> str:
-    return " ".join(("~" if ms.marked else "") + ms.base.name for ms in word)

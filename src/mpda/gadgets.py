@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Configuration, Mpda, StackSymbol, TransitionRule
+from .model import Configuration, InputError, Mpda, StackSymbol, TransitionRule
 from .regsets import Component, RegSet, StackNfa, singleton
 
 
@@ -48,7 +48,7 @@ def expo(n: int) -> GadgetInstance:
     """One stack, symbols X1..Xn, each Xi doubling into Xi+1; the shortest
     run from X1 to a lone Xn has length 2^n - 2."""
     if n < 2:
-        raise ValueError("expo needs n >= 2")
+        raise InputError("expo needs n >= 2")
     syms = tuple(StackSymbol(f"X{i}", 0) for i in range(1, n + 1))
     rules = [
         TransitionRule("q", syms[i], "q", ((syms[i + 1], syms[i + 1]),))
@@ -91,12 +91,12 @@ def comm_free_counters(
     one token of counter i (1-based) and adds adds[j] tokens to counter j."""
     k = len(source_counts)
     if len(target_counts) != k:
-        raise ValueError("source and target have different arities")
+        raise InputError("source and target have different arities")
     syms = tuple(StackSymbol(f"c{i + 1}", i) for i in range(k))
     rules = []
     for idx, (pop_i, adds) in enumerate(rules_spec):
         if not 1 <= pop_i <= k or len(adds) != k or any(a < 0 for a in adds):
-            raise ValueError(f"bad counter rule #{idx + 1}")
+            raise InputError(f"bad counter rule #{idx + 1}")
         push = tuple(tuple(syms[j] for _ in range(adds[j])) for j in range(k))
         rules.append(TransitionRule("q", syms[pop_i - 1], "q", push))
     m = Mpda(("q",), tuple((s,) for s in syms), tuple(rules))

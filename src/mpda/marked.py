@@ -15,21 +15,18 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 
-from .classify import (
-    CancelTable,
-    NotStronglyNormed,
-    NotWeak,
-    cancel_table,
-    is_weak,
-)
+from .classify import CancelTable, cancel_table, require_weak
 from .model import (
+    AnnotatedConfiguration,
+    AnnotatedSymbol,
     Configuration,
     Mpda,
-    StackSymbol,
     TransitionRule,
     Witness,
     Word,
+    annotate,
     replay,
+    search,
 )
 
 
@@ -37,29 +34,9 @@ class ReconstructionFailed(Exception):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class MarkedSymbol:
-    base: StackSymbol
-    marked: bool
-
-    def __str__(self) -> str:
-        return ("~" if self.marked else "") + self.base.name
-
-
+MarkedSymbol = AnnotatedSymbol
+MarkedConfiguration = AnnotatedConfiguration
 MWord = tuple[MarkedSymbol, ...]
-
-
-@dataclass(frozen=True)
-class MarkedConfiguration:
-    state: str
-    stacks: tuple[MWord, ...]
-
-    @property
-    def size(self) -> int:
-        return sum(len(w) for w in self.stacks)
-
-    def __str__(self) -> str:
-        return f"{self.state} : " + " | ".join(" ".join(map(str, w)) for w in self.stacks)
 
 
 @dataclass(frozen=True)
@@ -74,10 +51,7 @@ class MarkedSubtransition:
         return f"rule {self.origin.src} {lhs} -> {self.origin.dst} : {parts}"
 
 
-def unmarked(c: Configuration) -> MarkedConfiguration:
-    return MarkedConfiguration(
-        c.state, tuple(tuple(MarkedSymbol(s, False) for s in w) for w in c.stacks)
-    )
+unmarked = annotate
 
 
 def mk_subwords(word: Word, colored: frozenset[int] | None = None) -> set[MWord]:
@@ -102,17 +76,11 @@ def mk_subwords(word: Word, colored: frozenset[int] | None = None) -> set[MWord]
     return out
 
 
-_subtrans_cache: dict[tuple[TransitionRule, bool, int], tuple[MarkedSubtransition, ...]] = {}
-
-
 def subtransitions_for(rule: TransitionRule, lhs_marked: bool, stack_count: int) -> tuple[MarkedSubtransition, ...]:
     """All marked variants of one rule for a fixed mark on the popped symbol.
 
     A marked pop forces every push on the popped stack to come out marked;
     a state-preserving variant must push at least one symbol somewhere."""
-    key = (rule, lhs_marked, stack_count)
-    if key in _subtrans_cache:
-        return _subtrans_cache[key]
     per_stack: list[list[MWord]] = []
     for j in range(stack_count):
         options = mk_subwords(rule.push[j])
@@ -124,8 +92,7 @@ def subtransitions_for(rule: TransitionRule, lhs_marked: bool, stack_count: int)
         if not rule.changes_state and sum(len(w) for w in combo) == 0:
             continue
         out.append(MarkedSubtransition(rule, lhs_marked, tuple(combo)))
-    _subtrans_cache[key] = tuple(out)
-    return _subtrans_cache[key]
+    return tuple(out)
 
 
 def mk_subtransitions(m: Mpda) -> tuple[MarkedSubtransition, ...]:
@@ -155,20 +122,8 @@ class MarkedSearchResult:
         assert self.origin is not None
         out = [self.origin]
         for st in self.steps:
-            out.append(apply_subtransition(out[-1], st))
+            out.append(out[-1].apply(st.origin, st.pushes))
         return out
-
-
-def apply_subtransition(mc: MarkedConfiguration, st: MarkedSubtransition) -> MarkedConfiguration:
-    i = st.origin.pop.stack
-    top = mc.stacks[i][0]
-    assert mc.state == st.origin.src
-    assert top.base == st.origin.pop and top.marked == st.lhs_marked
-    stacks = []
-    for j, w in enumerate(mc.stacks):
-        rest = w[1:] if j == i else w
-        stacks.append(st.pushes[j] + rest)
-    return MarkedConfiguration(st.origin.dst, tuple(stacks))
 
 
 def decide_marked(
@@ -182,56 +137,34 @@ def decide_marked(
     Breadth-first search over marked configurations of size at most
     size(t) + |states|, seeded with every marked subconfiguration of s."""
     if check_preconditions:
-        wk = is_weak(m)
-        if not wk.weak:
-            raise NotWeak(f"state cycle: {' -> '.join(wk.cycle or ())}")
+        require_weak(m)
         cancel_table(m)  # raises NotStronglyNormed
     bound = t.size + len(m.states)
     target = unmarked(t)
-    parent: dict[MarkedConfiguration, tuple[MarkedConfiguration, MarkedSubtransition] | None] = {}
-    queue: deque[MarkedConfiguration] = deque()
-    for u in marked_subconfigurations(s, bound):
-        if u not in parent:
-            parent[u] = None
-            queue.append(u)
-    while queue:
-        cur = queue.popleft()
-        if cur == target:
-            steps: list[MarkedSubtransition] = []
-            node = cur
-            while parent[node] is not None:
-                prev, st = parent[node]  # type: ignore[misc]
-                steps.append(st)
-                node = prev
-            steps.reverse()
-            return MarkedSearchResult(True, node, tuple(steps), bound)
-        for i, w in enumerate(cur.stacks):
-            if not w:
-                continue
-            top = w[0]
-            for rule in m.rules_for(cur.state, top.base):
-                for st in subtransitions_for(rule, top.marked, m.stack_count):
-                    nxt = apply_subtransition(cur, st)
-                    if nxt.size > bound or nxt in parent:
-                        continue
-                    parent[nxt] = (cur, st)
-                    queue.append(nxt)
-    return MarkedSearchResult(False, size_bound=bound)
+
+    def expand(cur: MarkedConfiguration):
+        for w in cur.stacks:
+            if w:
+                top = w[0]
+                for rule, variants in m.variants(subtransitions_for, cur.state, top.base, top.marked):
+                    for st in variants:
+                        nxt = cur.apply(rule, st.pushes)
+                        if nxt.size <= bound:
+                            yield st, nxt
+
+    res = search(marked_subconfigurations(s, bound), expand, lambda c: c == target)
+    if res.path is None:
+        return MarkedSearchResult(False, size_bound=bound)
+    return MarkedSearchResult(True, res.path[0], res.labels, bound)
 
 
 # ------------------------------------------------------------ reconstruction
 
 def _coloring_for(word: Word, target: MWord) -> frozenset[int]:
     """A deletion set under which the marking of `word` yields `target`."""
-    n = len(word)
-    for k in range(n - len(target) + 1):
-        for d in itertools.combinations(range(n), k):
-            dset = frozenset(d)
-            min_prefix = (max(dset) + 1) if dset else 0
-            for p in range(min_prefix, n + 1):
-                cand = tuple(MarkedSymbol(word[j], j < p) for j in range(n) if j not in dset)
-                if cand == target:
-                    return dset
+    for d in map(frozenset, itertools.combinations(range(len(word)), len(word) - len(target))):
+        if target in mk_subwords(word, colored=d):
+            return d
     raise ReconstructionFailed(f"{target} is not a marked subword of {word}")
 
 
@@ -249,52 +182,41 @@ def reconstruct(
         raise ReconstructionFailed("no marked path to expand")
     if cancel is None:
         cancel = cancel_table(m)
-    state = s.state
-    stacks: list[list[tuple[StackSymbol, bool]]] = []
-    for i, w in enumerate(s.stacks):
-        d = _coloring_for(w, result.origin.stacks[i])
-        stacks.append([(sym, j in d) for j, sym in enumerate(w)])
+
+    def colored(words: tuple[Word, ...], marked: tuple[MWord, ...]) -> tuple[MWord, ...]:
+        """`words` with the positions that their marked subwords delete colored."""
+        deleted = map(_coloring_for, words, marked)
+        return tuple(tuple(AnnotatedSymbol(sym, p in d) for p, sym in enumerate(w)) for w, d in zip(words, deleted))
+
+    cur = AnnotatedConfiguration(s.state, colored(s.stacks, result.origin.stacks))
     fired: list[TransitionRule] = []
 
-    def run_rule(rule: TransitionRule, push_colored: tuple[frozenset[int], ...]) -> None:
-        nonlocal state
-        i = rule.pop.stack
-        if state != rule.src or not stacks[i] or stacks[i][0][0] != rule.pop:
+    def run_rule(rule: TransitionRule, pushes: tuple[MWord, ...]) -> None:
+        nonlocal cur
+        top = cur.stacks[rule.pop.stack]
+        if cur.state != rule.src or not top or top[0].base != rule.pop:
             raise ReconstructionFailed(f"rule not enabled while expanding: {rule}")
-        stacks[i].pop(0)
-        for j in range(m.stack_count):
-            pushed = [(sym, p in push_colored[j]) for p, sym in enumerate(rule.push[j])]
-            stacks[j][:0] = pushed
-        state = rule.dst
+        cur = cur.apply(rule, pushes)
         fired.append(rule)
 
-    def cancel_top(i: int) -> None:
-        sym = stacks[i][0][0]
-        none = tuple(frozenset() for _ in range(m.stack_count))
-        for rule in cancel[(state, sym)]:
-            run_rule(rule, none)
-
+    # each round erases one colored top or fires one marked step, so it ends
     queue = deque(result.steps)
-    guard = 0
     while True:
-        guard += 1
-        if guard > 10_000_000:
-            raise ReconstructionFailed("expansion does not terminate")
-        colored_top = next((i for i, w in enumerate(stacks) if w and w[0][1]), None)
+        colored_top = next((w[0].base for w in cur.stacks if w and w[0].marked), None)
         if colored_top is not None:
-            cancel_top(colored_top)
+            # the canceling sequence erases the top and all it spawns, in place
+            erase = cancel[(cur.state, colored_top)]
+            run_rule(erase[0], ((),) * m.stack_count)
+            fired.extend(erase[1:])
             continue
         if not queue:
             break
         st = queue.popleft()
-        push_colored = tuple(
-            _coloring_for(st.origin.push[j], st.pushes[j]) for j in range(m.stack_count)
-        )
-        run_rule(st.origin, push_colored)
+        run_rule(st.origin, colored(st.origin.push, st.pushes))
 
-    end = Configuration(state, tuple(tuple(sym for sym, _ in w) for w in stacks))
-    if any(col for w in stacks for _, col in w):
+    if cur.uncolored_count != cur.size:
         raise ReconstructionFailed("colored material left buried at the end")
+    end = cur.plain
     witness = Witness(s, tuple(fired))
     if replay(m, witness) != end:
         raise ReconstructionFailed("expanded witness does not replay")
@@ -331,9 +253,7 @@ def decide_regreg(
     from .regsets import enumerate_members
     from .wqo import default_src_cap
 
-    wk = is_weak(m)
-    if not wk.weak:
-        raise NotWeak(f"state cycle: {' -> '.join(wk.cycle or ())}")
+    require_weak(m)
     cancel = cancel_table(m)
     tcap = tgt_cap if tgt_cap is not None else default_tgt_cap(K)
     used_scap = 0

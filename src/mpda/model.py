@@ -8,13 +8,18 @@ Stacks are stored top-first: index 0 of a stack word is the top symbol.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from typing import Any, Callable, Hashable, Iterable, Iterator, NamedTuple
 
 
 class MpdaError(Exception):
     pass
+
+
+class InputError(MpdaError, ValueError):
+    """A value given to the library breaks a documented requirement."""
 
 
 class NotEnabled(MpdaError):
@@ -112,10 +117,12 @@ class Mpda:
                     if sym.stack != i or sym not in symbols:
                         raise MpdaError(f"rule pushes {sym.name} on wrong stack: {r}")
         object.__setattr__(self, "_symbols_by_name", seen)
-        by_pop: dict[tuple[str, StackSymbol], list[TransitionRule]] = {}
-        for r in self.rules:
-            by_pop.setdefault((r.src, r.pop), []).append(r)
+        # (state, top) -> [(declaration index, rule)], in declaration order
+        by_pop: dict[tuple[str, StackSymbol], list[tuple[int, TransitionRule]]] = {}
+        for idx, r in enumerate(self.rules):
+            by_pop.setdefault((r.src, r.pop), []).append((idx, r))
         object.__setattr__(self, "_rules_by_pop", by_pop)
+        object.__setattr__(self, "_variants", {})
 
     @property
     def stack_count(self) -> int:
@@ -128,7 +135,17 @@ class Mpda:
             raise MpdaError(f"unknown symbol {name!r}") from None
 
     def rules_for(self, state: str, pop: StackSymbol) -> tuple[TransitionRule, ...]:
-        return tuple(self._rules_by_pop.get((state, pop), ()))  # type: ignore[attr-defined]
+        return tuple(r for _, r in self._rules_by_pop.get((state, pop), ()))  # type: ignore[attr-defined]
+
+    def variants(self, build: Callable[[TransitionRule, bool, int], tuple], state: str, pop: StackSymbol, bit: bool) -> tuple:
+        """`(rule, build(rule, bit, stack_count))` for every rule popping `pop`
+        in `state`, in declaration order.  Built on first use and kept with
+        the machine, so repeated searches on one machine share it."""
+        key = (build, state, pop, bit)
+        table = self._variants  # type: ignore[attr-defined]
+        if key not in table:
+            table[key] = tuple((r, build(r, bit, self.stack_count)) for r in self.rules_for(state, pop))
+        return table[key]
 
     def empty_configuration(self, state: str) -> "Configuration":
         return Configuration(state, tuple(() for _ in range(self.stack_count)))
@@ -145,8 +162,51 @@ class Configuration:
     def size(self) -> int:
         return sum(len(w) for w in self.stacks)
 
+    def apply(self, rule: TransitionRule, pushes: tuple[tuple, ...]):
+        """`rule` fired on the top of its stack, with `pushes` pushed on the stacks."""
+        stacks = list(self.stacks)
+        stacks[rule.pop.stack] = stacks[rule.pop.stack][1:]
+        return type(self)(rule.dst, tuple(map(operator.add, pushes, stacks)))
+
     def __str__(self) -> str:
         return f"{self.state} : " + " | ".join(" ".join(s.name for s in w) for w in self.stacks)
+
+
+class AnnotatedSymbol(NamedTuple):
+    """A stack entry with one bit: the mark of the marked abstraction, or the
+    color of the wqo search.  Equal to the plain `(symbol, bit)` pair."""
+
+    base: StackSymbol
+    marked: bool
+
+    def __str__(self) -> str:
+        return ("~" if self.marked else "") + self.base.name
+
+
+@dataclass(frozen=True)
+class AnnotatedConfiguration(Configuration):
+    """A configuration of `(symbol, bit)` entries; `~X` renders a set bit."""
+
+    @property
+    def uncolored_count(self) -> int:
+        return sum(1 for w in self.stacks for _, bit in w if not bit)
+
+    @property
+    def uncolored_projection(self) -> tuple:
+        """The state and the entries without the bit, per stack."""
+        return self.state, tuple(tuple(sym for sym, bit in w if not bit) for w in self.stacks)
+
+    @property
+    def plain(self) -> Configuration:
+        return Configuration(self.state, tuple(tuple(sym for sym, _ in w) for w in self.stacks))
+
+    def __str__(self) -> str:
+        return f"{self.state} : " + " | ".join(" ".join(("~" if bit else "") + sym.name for sym, bit in w) for w in self.stacks)
+
+
+def annotate(c: Configuration, colored: bool = False) -> AnnotatedConfiguration:
+    """c with the same bit on every entry."""
+    return AnnotatedConfiguration(c.state, tuple(tuple(AnnotatedSymbol(s, colored) for s in w) for w in c.stacks))
 
 
 @dataclass(frozen=True)
@@ -175,25 +235,83 @@ def step(m: Mpda, c: Configuration, r: TransitionRule) -> Configuration:
     i = r.pop.stack
     if not c.stacks[i] or c.stacks[i][0] != r.pop:
         raise NotEnabled(f"{r.pop.name} is not on top of stack {i + 1}")
-    new_stacks = []
-    for j, w in enumerate(c.stacks):
-        rest = w[1:] if j == i else w
-        new_stacks.append(r.push[j] + rest)
-    return Configuration(r.dst, tuple(new_stacks))
-
-
-def enabled(m: Mpda, c: Configuration, r: TransitionRule) -> bool:
-    i = r.pop.stack
-    return c.state == r.src and bool(c.stacks[i]) and c.stacks[i][0] == r.pop
+    return c.apply(r, r.push)
 
 
 def successors(m: Mpda, c: Configuration) -> list[tuple[TransitionRule, Configuration]]:
     """All enabled rules with their results, in rule declaration order."""
-    out = []
-    for r in m.rules:
-        if enabled(m, c, r):
-            out.append((r, step(m, c, r)))
-    return out
+    by_pop = m._rules_by_pop  # type: ignore[attr-defined]
+    fired: list[tuple[int, TransitionRule]] = []
+    for w in c.stacks:
+        if w:
+            fired += by_pop.get((c.state, w[0]), ())
+    fired.sort()  # declaration indices are distinct, so rules are never compared
+    return [(r, step(m, c, r)) for _, r in fired]
+
+
+class SearchResult(NamedTuple):
+    path: tuple | None  # the nodes from a root to the target; None when not found
+    labels: tuple  # the labels of the path's steps
+    explored: int  # nodes admitted
+    cut: bool  # a node or depth cap left a node out
+
+
+def search(roots: Iterable[Hashable], expand: Callable[[Any], Iterable[tuple[Any, Hashable]]], is_target: Callable[[Any], bool],
+           depth_first: bool = False, covered: Any = None, max_nodes: int | None = None, max_depth: int | None = None) -> SearchResult:
+    """Graph search from `roots` to the first node that `is_target` accepts.
+
+    `expand(node)` yields `(label, child)` pairs.  A root or child is
+    admitted unless it is covered: by an admitted equal node, or, when a
+    `covered` index (`in` and `add`) is given, by whatever the index says
+    subsumes it.  Admitted nodes are tested against the target at once and
+    keep a parent pointer, which gives the path and its labels.  BFS admits
+    every root before expanding; DFS takes the next root only when its
+    stack runs empty, so each root is checked against all reached before it.
+    At most `max_nodes` nodes are admitted and nodes at `max_depth` are not
+    expanded; `cut` says whether either cap left a node out."""
+    parent: dict[Any, tuple[Any, Any] | None] = {}
+    seen: Any = parent if covered is None else covered
+    frontier: deque[tuple[Any, int]] = deque()
+    pending = iter(roots)
+    cut = False
+
+    def admit(node, via: tuple[Any, Any] | None, depth: int) -> bool:
+        parent[node] = via
+        if covered is not None:
+            covered.add(node)
+        frontier.append((node, depth))
+        return is_target(node)
+
+    def found(node) -> SearchResult:
+        nodes, labels = [node], []
+        while (via := parent[node]) is not None:
+            node, label = via
+            nodes.append(node)
+            labels.append(label)
+        return SearchResult(tuple(reversed(nodes)), tuple(reversed(labels)), len(parent), cut)
+
+    while True:
+        if not frontier:
+            for root in pending:
+                if root not in seen:
+                    if admit(root, None, 0):
+                        return found(root)
+                    if depth_first:
+                        break
+            if not frontier:
+                return SearchResult(None, (), len(parent), cut)
+        node, depth = frontier.pop() if depth_first else frontier.popleft()
+        children = expand(node)
+        if max_depth is not None and depth >= max_depth:
+            cut = cut or any(child not in seen for _, child in children)
+            continue
+        for label, child in children:
+            if child in seen:
+                continue
+            if max_nodes is not None and len(parent) >= max_nodes:
+                return SearchResult(None, (), len(parent), True)
+            if admit(child, (node, label), depth + 1):
+                return found(child)
 
 
 def replay(m: Mpda, w: Witness) -> Configuration:

@@ -3,7 +3,6 @@ small instances and as an independent cross-check for the other deciders."""
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -16,8 +15,8 @@ from .model import (
     occurrences_of,
     parent_map,
     relevant_occurrences,
+    search,
     successors,
-    trace,
 )
 from .regsets import RegSet, member
 
@@ -63,51 +62,20 @@ def bfs_reach(
     the target but never expanded.  The unreachable verdict is "complete"
     when neither the exploration cap nor the depth cap cut a node; the
     `truncated` flag records whether the size cap shaped the search space."""
-    if targets(source):
-        return OracleVerdict("reachable", Witness(source, ()), explored=1)
-    parent: dict[Configuration, tuple[Configuration, object]] = {}
-    depth = {source: 0}
-    queue = deque([source])
-    seen = {source}
     truncated = False
-    hard_cut = False
 
-    def witness_to(c: Configuration) -> Witness:
-        steps = []
-        while c in parent:
-            prev, rule = parent[c]
-            steps.append(rule)
-            c = prev
-        steps.reverse()
-        return Witness(c, tuple(steps))
+    def expand(c: Configuration):
+        nonlocal truncated
+        succ = successors(m, c)
+        if c.size > budget.max_config_size:
+            truncated = truncated or bool(succ)
+            return ()
+        return succ
 
-    while queue:
-        cur = queue.popleft()
-        succ = successors(m, cur)
-        if cur.size > budget.max_config_size:
-            if succ:
-                truncated = True
-            continue
-        if budget.max_depth is not None and depth[cur] >= budget.max_depth:
-            if any(nc not in seen for _, nc in succ):
-                hard_cut = True
-            continue
-        for rule, nc in succ:
-            if nc in seen:
-                continue
-            if len(seen) >= budget.max_explored:
-                hard_cut = True
-                break
-            seen.add(nc)
-            parent[nc] = (cur, rule)
-            depth[nc] = depth[cur] + 1
-            if targets(nc):
-                return OracleVerdict("reachable", witness_to(nc), explored=len(seen), truncated=truncated)
-            queue.append(nc)
-        if hard_cut:
-            break
-    status = "unreachable-budget" if hard_cut else "unreachable-complete"
-    return OracleVerdict(status, None, explored=len(seen), truncated=truncated)
+    res = search((source,), expand, targets, max_nodes=budget.max_explored, max_depth=budget.max_depth)
+    status = "reachable" if res.path else "unreachable-budget" if res.cut else "unreachable-complete"
+    witness = Witness(res.path[0], res.labels) if res.path else None
+    return OracleVerdict(status, witness, explored=res.explored, truncated=truncated)
 
 
 def reach_config(m: Mpda, source: Configuration, target: Configuration, budget: OracleBudget) -> OracleVerdict:

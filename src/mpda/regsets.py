@@ -14,6 +14,7 @@ from typing import Iterator
 
 from .model import (
     Configuration,
+    InputError,
     Mpda,
     StackSymbol,
     Word,
@@ -90,12 +91,12 @@ class RegSet:
     def __post_init__(self):
         for state, comp in self.components.items():
             if state not in self.mpda.states:
-                raise ValueError(f"component for unknown state {state!r}")
+                raise InputError(f"component for unknown state {state!r}")
             if len(comp.nfas) != self.mpda.stack_count:
-                raise ValueError(f"component at {state!r} has {len(comp.nfas)} nfas")
+                raise InputError(f"component at {state!r} has {len(comp.nfas)} nfas")
             for tup in comp.accept:
                 if len(tup) != self.mpda.stack_count:
-                    raise ValueError(f"accepting tuple {tup} has wrong arity")
+                    raise InputError(f"accepting tuple {tup} has wrong arity")
 
 
 def member(L: RegSet, c: Configuration) -> bool:

@@ -12,42 +12,26 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .classify import is_weak, NotWeak
-from .model import Configuration, Mpda, StackSymbol, TransitionRule
+from .classify import require_weak
+from .model import (
+    AnnotatedConfiguration,
+    Configuration,
+    Mpda,
+    TransitionRule,
+    Witness,
+    annotate,
+    search,
+    successors,
+)
 
-# one colored stack entry: (symbol, colored?)
-CSym = tuple[StackSymbol, bool]
-CWord = tuple[CSym, ...]
-
-
-@dataclass(frozen=True)
-class ColoredConfiguration:
-    state: str
-    stacks: tuple[CWord, ...]
-
-    @property
-    def uncolored_count(self) -> int:
-        return sum(1 for w in self.stacks for _, col in w if not col)
-
-    @property
-    def size(self) -> int:
-        return sum(len(w) for w in self.stacks)
-
-    def __str__(self) -> str:
-        def render(w: CWord) -> str:
-            return " ".join(("~" if col else "") + s.name for s, col in w)
-
-        return f"{self.state} : " + " | ".join(render(w) for w in self.stacks)
-
-
-def color_all(c: Configuration, colored: bool = False) -> ColoredConfiguration:
-    return ColoredConfiguration(c.state, tuple(tuple((s, colored) for s in w) for w in c.stacks))
+ColoredConfiguration = AnnotatedConfiguration
+color_all = annotate
 
 
 def colored_leq(a: ColoredConfiguration, b: ColoredConfiguration) -> bool:
     """a is b with some colored occurrences removed.  Greedy per-stack check:
     skipped positions of b must be colored, matched positions must agree on
-    both symbol and color."""
+    both symbol and color.  So a and b share their `uncolored_projection`."""
     if a.state != b.state:
         return False
     for wa, wb in zip(a.stacks, b.stacks):
@@ -66,7 +50,6 @@ def colored_successors(
     m: Mpda,
     r: ColoredConfiguration,
     uncolored_limit: int | None = None,
-    allow_vacuous_empty: bool = False,
 ) -> list[ColoredConfiguration]:
     """One colored step.
 
@@ -76,111 +59,98 @@ def colored_successors(
     colored one.  Popping an uncolored occurrence allows any coloring of the
     pushed symbols, except that a state-preserving rule must leave at least
     one push uncolored; in particular a state-preserving rule that pushes
-    nothing has no uncolored-pop variant (set allow_vacuous_empty to lift
-    this)."""
+    nothing has no uncolored-pop variant."""
     out = []
-    for i, w in enumerate(r.stacks):
+    uncolored = r.uncolored_count
+    for w in r.stacks:
         if not w:
             continue
         top_sym, top_col = w[0]
-        for rule in m.rules_for(r.state, top_sym):
-            if top_col:
-                if rule.changes_state:
-                    continue
-                pushes = tuple(tuple((s, True) for s in rule.push[j]) for j in range(m.stack_count))
-                out.append(_apply(r, rule, i, pushes))
-                continue
-            positions = [(j, p) for j in range(m.stack_count) for p in range(len(rule.push[j]))]
-            for colored_set in _subsets(positions):
-                if not rule.changes_state and not allow_vacuous_empty:
-                    if len(colored_set) == len(positions):
-                        continue  # must keep one push uncolored
-                pushes = tuple(
-                    tuple((rule.push[j][p], (j, p) in colored_set) for p in range(len(rule.push[j])))
-                    for j in range(m.stack_count)
-                )
-                nxt = _apply(r, rule, i, pushes)
-                if uncolored_limit is None or nxt.uncolored_count < uncolored_limit:
-                    out.append(nxt)
-    # colored-pop variants above bypass the limit check; apply it uniformly
-    if uncolored_limit is not None:
-        out = [c for c in out if c.uncolored_count < uncolored_limit]
+        left = uncolored if top_col else uncolored - 1
+        for rule, variants in m.variants(_push_colorings, r.state, top_sym, top_col):
+            for pushes, pushed_uncolored in variants:
+                if uncolored_limit is None or left + pushed_uncolored < uncolored_limit:
+                    out.append(r.apply(rule, pushes))
     return out
 
 
-def _apply(r: ColoredConfiguration, rule: TransitionRule, i: int, pushes: tuple[CWord, ...]) -> ColoredConfiguration:
-    stacks = []
-    for j, w in enumerate(r.stacks):
-        rest = w[1:] if j == i else w
-        stacks.append(pushes[j] + rest)
-    return ColoredConfiguration(rule.dst, tuple(stacks))
-
-
-def _subsets(items):
-    for k in range(len(items) + 1):
-        yield from (frozenset(c) for c in itertools.combinations(items, k))
+def _push_colorings(rule: TransitionRule, colored_pop: bool, stack_count: int) -> tuple:
+    """The colored pushes of `rule` for a pop of the given color, each with
+    its number of uncolored symbols, in the order `colored_successors`
+    tries them."""
+    if colored_pop:
+        if rule.changes_state:
+            return ()
+        return ((tuple(tuple((s, True) for s in w) for w in rule.push), 0),)
+    positions = [(j, p) for j in range(stack_count) for p in range(len(rule.push[j]))]
+    # a state-preserving rule keeps at least one push uncolored
+    most_colored = len(positions) if rule.changes_state else len(positions) - 1
+    out = []
+    for k in range(most_colored + 1):
+        for colored in map(set, itertools.combinations(positions, k)):
+            pushes = tuple(
+                tuple((s, (j, p) in colored) for p, s in enumerate(rule.push[j]))
+                for j in range(stack_count)
+            )
+            out.append((pushes, len(positions) - k))
+    return tuple(out)
 
 
 def source_colorings(s: Configuration, uncolored_limit: int):
     """All colorings of s with fewer than uncolored_limit uncolored symbols."""
     positions = [(i, p) for i, w in enumerate(s.stacks) for p in range(len(w))]
-    seen = set()
-    max_uncolored = min(len(positions), uncolored_limit - 1)
-    for k in range(max_uncolored + 1):
-        for keep in itertools.combinations(positions, k):
-            kept = set(keep)
-            c = ColoredConfiguration(
+    for k in range(min(len(positions), uncolored_limit - 1) + 1):
+        for kept in map(set, itertools.combinations(positions, k)):
+            yield ColoredConfiguration(
                 s.state,
-                tuple(
-                    tuple((sym, (i, p) not in kept) for p, sym in enumerate(w))
-                    for i, w in enumerate(s.stacks)
-                ),
+                tuple(tuple((sym, (i, p) not in kept) for p, sym in enumerate(w)) for i, w in enumerate(s.stacks)),
             )
-            if c not in seen:
-                seen.add(c)
-                yield c
 
 
-def decide_wqo(
-    m: Mpda,
-    s: Configuration,
-    t: Configuration,
-    allow_vacuous_empty: bool = False,
-) -> bool:
-    """Exact reachability s -->* t for a weak machine and a single target.
+class _Embeddings:
+    """Admitted colored configurations, bucketed by `uncolored_projection`:
+    `c in index` holds when some admitted v has colored_leq(v, c), and
+    colored_leq only relates configurations of one bucket."""
+
+    def __init__(self) -> None:
+        self.buckets: dict[tuple, list[ColoredConfiguration]] = {}
+
+    def __contains__(self, c: ColoredConfiguration) -> bool:
+        return any(colored_leq(v, c) for v in self.buckets.get(c.uncolored_projection, ()))
+
+    def add(self, c: ColoredConfiguration) -> None:
+        self.buckets.setdefault(c.uncolored_projection, []).append(c)
+
+
+def reach_wqo(m: Mpda, s: Configuration, t: Configuration) -> Witness | None:
+    """Exact reachability s -->* t for a weak machine and a single target,
+    with a witness when t is reachable.
 
     Depth-first search over colored configurations; a new node is skipped
-    when some already-seen node embeds into it (anything it could contribute
-    is then reachable from the smaller node as well)."""
-    wk = is_weak(m)
-    if not wk.weak:
-        raise NotWeak(f"state cycle: {' -> '.join(wk.cycle or ())}")
+    when some already admitted node embeds into it (anything it could
+    contribute is then reachable from the smaller node as well).  Every
+    colored step fires a concrete rule, so the colored path with its colors
+    dropped is a run from s to t."""
+    require_weak(m)
     limit = len(m.states) + t.size
     target = color_all(t, colored=False)
-    seen: list[ColoredConfiguration] = []
-    seen_set: set[ColoredConfiguration] = set()
+    res = search(
+        source_colorings(s, limit),
+        lambda c: ((None, nxt) for nxt in colored_successors(m, c, uncolored_limit=limit)),
+        lambda c: c == target,
+        depth_first=True,
+        covered=_Embeddings(),
+    )
+    if res.path is None:
+        return None
+    run = [c.plain for c in res.path]
+    steps = tuple(next(r for r, nxt in successors(m, a) if nxt == b) for a, b in zip(run, run[1:]))
+    return Witness(run[0], steps)
 
-    def subsumed(c: ColoredConfiguration) -> bool:
-        return c in seen_set or any(colored_leq(v, c) for v in seen)
 
-    for root in source_colorings(s, limit):
-        if subsumed(root):
-            continue
-        stack = [root]
-        while stack:
-            cur = stack.pop()
-            if cur == target:
-                return True
-            if cur in seen_set:
-                continue
-            seen.append(cur)
-            seen_set.add(cur)
-            for nxt in colored_successors(m, cur, uncolored_limit=limit, allow_vacuous_empty=allow_vacuous_empty):
-                if nxt == target:
-                    return True
-                if not subsumed(nxt):
-                    stack.append(nxt)
-    return False
+def decide_wqo(m: Mpda, s: Configuration, t: Configuration) -> bool:
+    """Exact reachability s -->* t for a weak machine and a single target."""
+    return reach_wqo(m, s, t) is not None
 
 
 @dataclass(frozen=True)

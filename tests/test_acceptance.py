@@ -254,6 +254,19 @@ class TestCriterion09Compatibility:
                         assert ok, f"{rp} vs {r} -> {u} on {m.rules}"
 
 
+class TestEmbeddingBuckets:
+    def test_leq_implies_equal_uncolored_projections(self):
+        # decide_wqo compares a node only with admitted nodes of its bucket
+        rng = random.Random(950)
+        for _ in range(10):
+            m = random_weak_mpda(rng, max_states=2, max_rules=4)
+            small = list(colored_configurations(m, 3))
+            for a in small:
+                for b in small:
+                    if colored_leq(a, b):
+                        assert a.uncolored_projection == b.uncolored_projection, f"{a} <= {b}"
+
+
 class TestCriterion10Shrink:
     def test_100_yes_instances(self):
         rng = random.Random(1000)

@@ -87,12 +87,24 @@ class TestReach:
         assert member(tgt, replay(m, w))
 
     def test_unreachable_exit_1(self, workdir, capsys):
+        # no rule grows this source, so the search is exhaustive
         code, record, _ = run(
             capsys, "reach", str(workdir / "machine.mpda"),
-            "--from", "q1 : X D |", "--to", "q2 : X |",
+            "--from", "q1 : B D |", "--to", "q2 : X |",
             "--method", "oracle", "--max-size", "6",
         )
         assert code == 1 and record["status"] == "unreachable"
+        assert record["truncated"] is False
+
+    def test_size_capped_search_is_unknown(self, tmp_path, capsys):
+        # the size cap hides the run to X8, which is reachable
+        run(capsys, "gen", "expo:8", "--out", str(tmp_path))
+        code, record, _ = run(
+            capsys, "reach", str(tmp_path / "machine.mpda"),
+            "--from", "q : X1", "--to", "q : X8", "--method", "oracle",
+        )
+        assert code == 2 and record["status"] == "unknown"
+        assert record["truncated"] is True
 
     def test_budget_exit_2(self, tmp_path, capsys):
         run(capsys, "gen", "expo:5", "--out", str(tmp_path))
@@ -110,6 +122,20 @@ class TestReach:
         )
         assert code == 0 and record["method"] == "wqo"
 
+    def test_wqo_writes_a_replayable_witness(self, workdir, capsys):
+        wfile = workdir / "wqo.witness"
+        code, record, _ = run(
+            capsys, "reach", str(workdir / "machine.mpda"),
+            "--from", "q1 : X D |", "--to", "q2 : |",
+            "--method", "wqo", "--witness", str(wfile),
+        )
+        assert code == 0 and record["status"] == "reachable"
+        m = formats.parse_mpda((workdir / "machine.mpda").read_text())
+        w = formats.parse_witness(wfile.read_text(), m)
+        assert len(w.steps) == record["witness_length"]
+        assert w.start == formats.parse_configuration("q1 : X D |", m)
+        assert replay(m, w) == formats.parse_configuration("q2 : |", m)
+
     def test_auto_picks_marked_when_strongly_normed(self, tmp_path, capsys):
         run(capsys, "gen", "expo:3", "--out", str(tmp_path))
         code, record, _ = run(
@@ -124,6 +150,44 @@ class TestReach:
             "--from", "q1 : NOPE |", "--to", "q2 : |",
         )
         assert code == 3
+
+
+class TestExitCodes:
+    def test_internal_error_exits_4_with_traceback(self, workdir, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise IndexError("tuple index out of range")
+
+        monkeypatch.setattr("mpda.wqo.reach_wqo", broken)
+        code = main([
+            "reach", str(workdir / "machine.mpda"),
+            "--from", "q1 : X D |", "--to", "q2 : |", "--method", "wqo",
+        ])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "Traceback" in err and "IndexError" in err
+
+    def test_bad_numbers_are_input_errors(self, workdir, tmp_path, capsys):
+        code, record, _ = run(capsys, "gen", "expo:many", "--out", str(tmp_path / "e"))
+        assert code == 3 and "integer" in record["error"]
+        code, record, _ = run(capsys, "gen", "expo:1", "--out", str(tmp_path / "e"))
+        assert code == 3
+        code, record, _ = run(
+            capsys, "regset", str(workdir / "machine.mpda"), "enumerate",
+            str(workdir / "target.regset"), "three",
+        )
+        assert code == 3 and "integer" in record["error"]
+        code, record, _ = run(capsys, "regset", str(workdir / "machine.mpda"), "member")
+        assert code == 3
+
+    def test_unwritable_output_is_an_input_error(self, workdir, capsys):
+        code, record, _ = run(
+            capsys, "reach", str(workdir / "machine.mpda"),
+            "--from", "q1 : X D |", "--to", "q2 : |", "--method", "wqo",
+            "--witness", str(workdir / "no-such-dir" / "w.witness"),
+        )
+        assert code == 3 and "cannot write" in record["error"]
+        code, record, _ = run(capsys, "gen", "anbncn", "--out", str(workdir / "machine.mpda" / "sub"))
+        assert code == 3 and "cannot create" in record["error"]
 
 
 class TestRegsetOps:

@@ -4,7 +4,7 @@ import pytest
 
 from mpda.classify import NotWeak
 from mpda.gadgets import anbncn, expo, nonreg_forward
-from mpda.model import Configuration, Mpda, StackSymbol, TransitionRule
+from mpda.model import Configuration, Mpda, StackSymbol, TransitionRule, replay
 from mpda.oracle import OracleBudget, reach_config
 from mpda.wqo import (
     ColoredConfiguration,
@@ -13,6 +13,7 @@ from mpda.wqo import (
     colored_successors,
     decide_reg_to_one,
     decide_wqo,
+    reach_wqo,
     source_colorings,
 )
 from mpda.regsets import singleton
@@ -91,9 +92,6 @@ class TestColoredSuccessors:
         assert colored_successors(m, cc(m, "q", "A")) == []
         # a colored pop is still fine
         assert colored_successors(m, cc(m, "q", "~A")) == [cc(m, "q", "")]
-        # and the restriction can be lifted explicitly
-        got = colored_successors(m, cc(m, "q", "A"), allow_vacuous_empty=True)
-        assert got == [cc(m, "q", "")]
 
     def test_state_changing_eraser_is_unrestricted(self, m):
         got = colored_successors(m, cc(m, "q1", "D", ""))
@@ -167,6 +165,23 @@ class TestDecide:
             v = reach_config(m, s, t, OracleBudget(max_config_size=s.size))
             assert v.status in ("reachable", "unreachable-complete")
             assert decide_wqo(m, s, t) == v.reachable, f"{s} -> {t} on {m.rules}"
+
+
+class TestWitness:
+    def test_witnesses_replay_into_the_target(self):
+        rng = random.Random(7)
+        found = 0
+        for _ in range(80):
+            m = random_weak_mpda(rng)
+            s = random_configuration(rng, m, 3)
+            t = random_configuration(rng, m, 3)
+            w = reach_wqo(m, s, t)
+            assert (w is not None) == decide_wqo(m, s, t)
+            if w is not None:
+                found += 1
+                assert w.start == s
+                assert replay(m, w) == t, f"{s} -> {t} on {m.rules}"
+        assert found > 10
 
 
 class TestRegToOne:
