@@ -138,6 +138,7 @@ def cmd_reach(args) -> int:
         method = _pick_method(m, src, tgt)
     started = time.perf_counter()
     witness: Witness | None = None
+    verdict: oracle.OracleVerdict | None = None
     extra: dict = {}
     if method == "oracle":
         if not isinstance(src, Configuration):
@@ -150,10 +151,6 @@ def cmd_reach(args) -> int:
             verdict = oracle.reach_config(m, src, tgt, budget)
         else:
             verdict = oracle.reach_regset(m, src, tgt, budget)
-        # unreachable only when no cap cut the search, the size cap included
-        status = "reachable" if verdict.reachable else "unreachable" if verdict.complete and not verdict.truncated else "unknown"
-        witness = verdict.witness
-        extra = {"explored": verdict.explored, "truncated": verdict.truncated}
     elif method == "marked":
         if isinstance(src, Configuration) and isinstance(tgt, Configuration):
             res = marked.decide_marked(m, src, tgt)
@@ -172,8 +169,7 @@ def cmd_reach(args) -> int:
         if not isinstance(tgt, Configuration):
             raise CliError("--method wqo needs a single target configuration")
         if isinstance(src, Configuration):
-            witness = wqo.reach_wqo(m, src, tgt)
-            status = "reachable" if witness is not None else "unreachable"
+            verdict = wqo.reach_wqo(m, src, tgt, max_nodes=args.max_explored)
         else:
             res = wqo.decide_reg_to_one(m, src, tgt, src_cap=args.src_cap)
             status = "reachable" if res.reachable else "unreachable"
@@ -191,6 +187,13 @@ def cmd_reach(args) -> int:
             extra["certificate_file"] = args.certificate
     else:
         raise CliError(f"unknown method {method!r}")
+    if verdict is not None:
+        # unreachable only when no cap cut the search, the size cap included
+        status = "reachable" if verdict.reachable else "unreachable" if verdict.complete and not verdict.truncated else "unknown"
+        witness = verdict.witness
+        extra = {"explored": verdict.explored, "truncated": verdict.truncated}
+        if status == "unknown":
+            extra["budget"] = "max-size" if verdict.complete else "max-explored"
     elapsed = time.perf_counter() - started
     record = {
         "command": "reach",
@@ -200,6 +203,8 @@ def cmd_reach(args) -> int:
         **extra,
     }
     summary = f"{status} (method {method}, {elapsed:.2f}s)"
+    if "budget" in extra:
+        summary += f"; --{extra['budget']} ran out"
     if witness is not None:
         record["witness_length"] = len(witness.steps)
         summary += f"; witness of length {len(witness.steps)}"

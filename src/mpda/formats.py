@@ -416,12 +416,12 @@ def serialize_regset(L: RegSet) -> str:
         comp = L.components[state]
         lines.append(f"  state {state} {{")
         for i, nfa in enumerate(comp.nfas):
-            parts = ["states: " + " ".join(nfa.states)]
-            parts.append("initial: " + " ".join(sorted(nfa.initials)))
+            parts = ["states: " + " ".join(map(str, nfa.states))]
+            parts.append("initial: " + " ".join(map(str, sorted(nfa.initials))))
             for src, sym, dst in sorted(nfa.edges, key=lambda e: (e[0], e[1].name, e[2])):
                 parts.append(f"edge {src} {sym.name} {dst}")
             lines.append(f"    nfa {i + 1} {{ " + " ; ".join(parts) + " }")
-        tuples = " ".join("(" + " ".join(t) + ")" for t in sorted(comp.accept))
+        tuples = " ".join("(" + " ".join(map(str, t)) + ")" for t in sorted(comp.accept))
         lines.append("    accept: " + tuples)
         lines.append("  }")
     lines.append("}")

@@ -4,13 +4,20 @@ A set is given per control state as one NFA per stack plus a set of accepting
 state tuples.  The per-stack NFAs carry no acceptance of their own: a
 configuration belongs to the set when, for some accepting tuple, every stack
 word can drive its NFA from an initial state to the tuple's entry.
+
+NFA states keep the names they were given (parsed sets, gadgets and
+`singleton` use strings), but every automaton that a set operation builds
+(`union`, `intersect`, `complement`, `pre_image`) has the states
+0, 1, ..., n-1, and is built once, without renaming passes.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterator
+from functools import cached_property
+from typing import Iterable, Iterator
 
 from .model import (
     Configuration,
@@ -28,32 +35,39 @@ class TooLarge(Exception):
 
 DEFAULT_DET_BUDGET = 4096
 
+NfaState = str | int
+# one stack of a component about to be numbered: (states, initials, edges)
+_Part = tuple[tuple, Iterable, Iterable[tuple]]
+
 
 @dataclass(frozen=True)
 class StackNfa:
     """Nondeterministic automaton over one stack alphabet, without acceptance."""
 
-    states: tuple[str, ...]
-    initials: frozenset[str]
-    edges: frozenset[tuple[str, StackSymbol, str]]
+    states: tuple[NfaState, ...]
+    initials: frozenset[NfaState]
+    edges: frozenset[tuple[NfaState, StackSymbol, NfaState]]
 
     def __post_init__(self):
         known = set(self.states)
         assert self.initials <= known
         assert all(s in known and t in known for s, _, t in self.edges)
-        by_src: dict[tuple[str, StackSymbol], set[str]] = {}
+
+    @cached_property
+    def _delta(self) -> dict[tuple[NfaState, StackSymbol], set[NfaState]]:
+        by_src: dict[tuple[NfaState, StackSymbol], set[NfaState]] = {}
         for s, a, t in self.edges:
             by_src.setdefault((s, a), set()).add(t)
-        object.__setattr__(self, "_delta", by_src)
+        return by_src
 
-    def step_set(self, source: frozenset[str], sym: StackSymbol) -> frozenset[str]:
-        delta = self._delta  # type: ignore[attr-defined]
-        out: set[str] = set()
+    def step_set(self, source: frozenset[NfaState], sym: StackSymbol) -> frozenset[NfaState]:
+        delta = self._delta
+        out: set[NfaState] = set()
         for s in source:
             out |= delta.get((s, sym), set())
         return frozenset(out)
 
-    def read(self, source: frozenset[str], word: Word) -> frozenset[str]:
+    def read(self, source: frozenset[NfaState], word: Word) -> frozenset[NfaState]:
         cur = source
         for sym in word:
             cur = self.step_set(cur, sym)
@@ -61,11 +75,11 @@ class StackNfa:
                 break
         return cur
 
-    def coreachable(self) -> frozenset[str]:
+    def coreachable(self) -> frozenset[NfaState]:
         """States reachable from the initials by any word."""
         seen = set(self.initials)
         todo = list(seen)
-        succ: dict[str, set[str]] = {}
+        succ: dict[NfaState, set[NfaState]] = {}
         for s, _, t in self.edges:
             succ.setdefault(s, set()).add(t)
         while todo:
@@ -80,7 +94,7 @@ class StackNfa:
 @dataclass(frozen=True)
 class Component:
     nfas: tuple[StackNfa, ...]
-    accept: frozenset[tuple[str, ...]]
+    accept: frozenset[tuple[NfaState, ...]]
 
 
 @dataclass
@@ -124,92 +138,89 @@ def singleton(m: Mpda, c: Configuration) -> RegSet:
     return RegSet(m, {c.state: comp})
 
 
-def _rename(nfa: StackNfa, tag: str) -> tuple[StackNfa, dict[str, str]]:
-    fmap = {s: f"{tag}{i}" for i, s in enumerate(nfa.states)}
-    renamed = StackNfa(
-        tuple(fmap[s] for s in nfa.states),
-        frozenset(fmap[s] for s in nfa.initials),
-        frozenset((fmap[s], a, fmap[t]) for s, a, t in nfa.edges),
-    )
-    return renamed, fmap
+def _parts(comp: Component) -> tuple[list[_Part], frozenset[tuple]]:
+    return [(nfa.states, nfa.initials, nfa.edges) for nfa in comp.nfas], comp.accept
 
 
-def _canonical(comp: Component) -> Component:
-    nfas = []
-    maps = []
-    for nfa in comp.nfas:
-        renamed, fmap = _rename(nfa, "s")
-        nfas.append(renamed)
-        maps.append(fmap)
-    accept = frozenset(tuple(maps[i][f] for i, f in enumerate(tup)) for tup in comp.accept)
-    return Component(tuple(nfas), accept)
-
-
-def _union_components(a: Component, b: Component) -> Component:
-    nfas = []
-    amaps = []
-    bmaps = []
-    for na, nb in zip(a.nfas, b.nfas):
-        ra, ma = _rename(na, "a")
-        rb, mb = _rename(nb, "b")
-        nfas.append(StackNfa(ra.states + rb.states, ra.initials | rb.initials, ra.edges | rb.edges))
-        amaps.append(ma)
-        bmaps.append(mb)
-    accept = frozenset(tuple(amaps[i][f] for i, f in enumerate(t)) for t in a.accept)
-    accept |= frozenset(tuple(bmaps[i][f] for i, f in enumerate(t)) for t in b.accept)
-    return _canonical(Component(tuple(nfas), accept))
+def _union_components(summands: list[tuple[list[_Part], Iterable[tuple]]]) -> Component:
+    """Disjoint union of components given as per-stack (states, initials,
+    edges) parts plus accepting tuples.  Each summand's states are numbered
+    in order, after the states of the summands before it."""
+    k = len(summands[0][0])
+    sizes = [0] * k
+    initials: list[set[int]] = [set() for _ in range(k)]
+    edges: list[set[tuple[int, StackSymbol, int]]] = [set() for _ in range(k)]
+    accept: set[tuple[int, ...]] = set()
+    for parts, tuples in summands:
+        pos = []
+        for j, (states, inits, es) in enumerate(parts):
+            p = {s: sizes[j] + i for i, s in enumerate(states)}
+            initials[j].update(p[s] for s in inits)
+            edges[j].update((p[s], a, p[t]) for s, a, t in es)
+            sizes[j] += len(states)
+            pos.append(p)
+        accept.update(tuple(pos[j][f] for j, f in enumerate(tup)) for tup in tuples)
+    nfas = tuple(StackNfa(tuple(range(n)), frozenset(i), frozenset(e)) for n, i, e in zip(sizes, initials, edges))
+    return Component(nfas, frozenset(accept))
 
 
 def union(L: RegSet, M: RegSet) -> RegSet:
     if L.mpda is not M.mpda and L.mpda != M.mpda:
         raise ValueError("regular sets over different machines")
-    out: dict[str, Component] = {}
-    for state in set(L.components) | set(M.components):
-        a = L.components.get(state)
-        b = M.components.get(state)
-        if a is None:
-            out[state] = _canonical(b)  # type: ignore[arg-type]
-        elif b is None:
-            out[state] = _canonical(a)
-        else:
-            out[state] = _union_components(a, b)
+    out = dict(L.components)
+    for state, b in M.components.items():
+        a = out.get(state)
+        out[state] = b if a is None else _union_components([_parts(a), _parts(b)])
     return RegSet(L.mpda, out)
+
+
+def _product(na: StackNfa, nb: StackNfa, alphabet: tuple[StackSymbol, ...]) -> tuple[StackNfa, dict[tuple, int]]:
+    """The product of two automata over the pairs of states reachable from
+    the initial pairs, numbered breadth-first (ties in state order, so the
+    numbering does not depend on set iteration order), and that numbering."""
+    pa = {s: i for i, s in enumerate(na.states)}
+    pb = {t: j for j, t in enumerate(nb.states)}
+
+    def key(pair: tuple) -> tuple[int, int]:
+        return pa[pair[0]], pb[pair[1]]
+
+    order = sorted(itertools.product(na.initials, nb.initials), key=key)
+    number = {pair: i for i, pair in enumerate(order)}
+    edges = set()
+    for s, t in order:  # grows while it is walked
+        src = number[(s, t)]
+        for sym in alphabet:
+            for nxt in sorted(itertools.product(na._delta.get((s, sym), ()), nb._delta.get((t, sym), ())), key=key):
+                if nxt not in number:
+                    number[nxt] = len(order)
+                    order.append(nxt)
+                edges.add((src, sym, number[nxt]))
+    initials = frozenset(range(len(na.initials) * len(nb.initials)))
+    return StackNfa(tuple(range(len(order))), initials, frozenset(edges)), number
 
 
 def intersect(L: RegSet, M: RegSet) -> RegSet:
     if L.mpda is not M.mpda and L.mpda != M.mpda:
         raise ValueError("regular sets over different machines")
     out: dict[str, Component] = {}
-    for state in set(L.components) & set(M.components):
+    for state in L.components.keys() & M.components.keys():
         a = L.components[state]
         b = M.components[state]
-        nfas = []
-        for na, nb in zip(a.nfas, b.nfas):
-            pairs = [(s, t) for s in na.states for t in nb.states]
-            name = {p: f"{p[0]}*{p[1]}" for p in pairs}
-            edges = set()
-            for s1, sym, t1 in na.edges:
-                for s2, sym2, t2 in nb.edges:
-                    if sym == sym2:
-                        edges.add((name[(s1, s2)], sym, name[(t1, t2)]))
-            nfas.append(StackNfa(
-                tuple(name[p] for p in pairs),
-                frozenset(name[(s, t)] for s in na.initials for t in nb.initials),
-                frozenset(edges),
-            ))
-        accept = frozenset(
-            tuple(f"{ta[i]}*{tb[i]}" for i in range(len(ta)))
-            for ta in a.accept
-            for tb in b.accept
-        )
-        out[state] = _canonical(Component(tuple(nfas), accept))
+        nfas, numbers = zip(*(_product(na, nb, alpha) for na, nb, alpha in zip(a.nfas, b.nfas, L.mpda.alphabets)))
+        accept = set()
+        for ta in a.accept:
+            for tb in b.accept:
+                tup = tuple(number.get(pair) for number, pair in zip(numbers, zip(ta, tb)))
+                if None not in tup:  # a pair no word reaches accepts nothing
+                    accept.add(tup)
+        out[state] = Component(nfas, frozenset(accept))
     return RegSet(L.mpda, out)
 
 
-def _determinize(nfa: StackNfa, alphabet: tuple[StackSymbol, ...], budget: int) -> tuple[StackNfa, list[frozenset[str]]]:
-    """Complete subset automaton; the returned list maps new state index to
-    the corresponding subset (index 0 is the initial subset)."""
-    subsets: list[frozenset[str]] = [frozenset(nfa.initials)]
+def _determinize(nfa: StackNfa, alphabet: tuple[StackSymbol, ...], budget: int) -> tuple[StackNfa, list[frozenset[NfaState]]]:
+    """Complete subset automaton whose states are the subset indices; the
+    returned list maps each index to its subset (0 is the initial subset)."""
+    subsets: list[frozenset[NfaState]] = [frozenset(nfa.initials)]
     index = {subsets[0]: 0}
     edges = set()
     todo = [subsets[0]]
@@ -223,13 +234,8 @@ def _determinize(nfa: StackNfa, alphabet: tuple[StackSymbol, ...], budget: int) 
                 index[nxt] = len(subsets)
                 subsets.append(nxt)
                 todo.append(nxt)
-            edges.add((f"d{index[cur]}", sym, f"d{index[nxt]}"))
-    det = StackNfa(
-        tuple(f"d{i}" for i in range(len(subsets))),
-        frozenset({"d0"}),
-        frozenset(edges),
-    )
-    return det, subsets
+            edges.add((index[cur], sym, index[nxt]))
+    return StackNfa(tuple(range(len(subsets))), frozenset({0}), frozenset(edges)), subsets
 
 
 def complement(L: RegSet, m: Mpda | None = None, budget: int = DEFAULT_DET_BUDGET) -> RegSet:
@@ -239,19 +245,11 @@ def complement(L: RegSet, m: Mpda | None = None, budget: int = DEFAULT_DET_BUDGE
         comp = L.components.get(state)
         if comp is None:
             # everything at this state is in the complement
-            nfas = []
-            for i, alpha in enumerate(m.alphabets):
-                edges = frozenset(("u", sym, "u") for sym in alpha)
-                nfas.append(StackNfa(("u",), frozenset({"u"}), edges))
-            out[state] = Component(tuple(nfas), frozenset({tuple("u" for _ in m.alphabets)}))
+            nfas = tuple(StackNfa((0,), frozenset({0}), frozenset((0, sym, 0) for sym in alpha)) for alpha in m.alphabets)
+            out[state] = Component(nfas, frozenset({(0,) * m.stack_count}))
             continue
-        dets = []
-        subset_lists = []
-        for i, nfa in enumerate(comp.nfas):
-            det, subsets = _determinize(nfa, m.alphabets[i], budget)
-            dets.append(det)
-            subset_lists.append(subsets)
-        if _product_size(subset_lists) > budget * budget:
+        dets, subset_lists = zip(*(_determinize(nfa, alpha, budget) for nfa, alpha in zip(comp.nfas, m.alphabets)))
+        if math.prod(map(len, subset_lists)) > budget * budget:
             raise TooLarge("accepting-tuple table of the complement is too large")
         accept = set()
         for combo in itertools.product(*(range(len(s)) for s in subset_lists)):
@@ -260,16 +258,9 @@ def complement(L: RegSet, m: Mpda | None = None, budget: int = DEFAULT_DET_BUDGE
                 for tup in comp.accept
             )
             if not covered:
-                accept.add(tuple(f"d{j}" for j in combo))
-        out[state] = Component(tuple(dets), frozenset(accept))
+                accept.add(combo)
+        out[state] = Component(dets, frozenset(accept))
     return RegSet(m, out)
-
-
-def _product_size(lists) -> int:
-    n = 1
-    for s in lists:
-        n *= len(s)
-    return n
 
 
 def is_empty(L: RegSet) -> bool:
@@ -296,9 +287,9 @@ def enumerate_members(L: RegSet, max_size: int) -> Iterator[Configuration]:
     for state in sorted(L.components):
         comp = L.components[state]
         # per stack: words grouped by length, each with its reachable set
-        live: list[list[list[tuple[Word, frozenset[str]]]]] = []
+        live: list[list[list[tuple[Word, frozenset[NfaState]]]]] = []
         for j, nfa in enumerate(comp.nfas):
-            pred: dict[str, set[str]] = {}
+            pred: dict[NfaState, set[NfaState]] = {}
             for s, _, t in nfa.edges:
                 pred.setdefault(t, set()).add(s)
             useful = set(tup[j] for tup in comp.accept)
@@ -330,39 +321,30 @@ def enumerate_members(L: RegSet, max_size: int) -> Iterator[Configuration]:
             yield from batch
 
 
-def pre_image(m: Mpda, M: RegSet, budget: int = DEFAULT_DET_BUDGET) -> RegSet:
-    """The set of configurations with some one-step successor in M."""
-    summands: dict[str, list[Component]] = {}
+def pre_image(m: Mpda, M: RegSet) -> RegSet:
+    """The set of configurations with some one-step successor in M.
+
+    Each rule into a component of M gives one summand: the popped stack's
+    automaton gets a new initial state (number n after the n old ones) with
+    an edge reading the popped symbol to wherever the pushed word leads, and
+    every other stack starts where its pushed word leads."""
+    summands: dict[str, list[tuple[list[_Part], frozenset[tuple]]]] = {}
     for rule in m.rules:
         comp = M.components.get(rule.dst)
         if comp is None:
             continue
-        i0 = rule.pop.stack
-        nfas: list[StackNfa] = []
-        dead = False
+        parts: list[_Part] = []
         for j, nfa in enumerate(comp.nfas):
             after_push = nfa.read(nfa.initials, rule.push[j])
             if not after_push:
                 # no nfa state survives reading the pushed word: the summand
                 # accepts nothing (the popped stack only reaches states via it)
-                dead = True
                 break
-            if j == i0:
-                fresh = "pre"
-                while fresh in nfa.states:
-                    fresh += "_"
-                edges = set(nfa.edges)
-                edges |= {(fresh, rule.pop, t) for t in after_push}
-                nfas.append(StackNfa((fresh,) + nfa.states, frozenset({fresh}), frozenset(edges)))
+            if j == rule.pop.stack:
+                new = None  # names are strings or numbers, so this one is fresh
+                parts.append((nfa.states + (new,), (new,), itertools.chain(nfa.edges, [(new, rule.pop, t) for t in after_push])))
             else:
-                nfas.append(StackNfa(nfa.states, after_push, nfa.edges))
-        if dead:
-            continue
-        summands.setdefault(rule.src, []).append(_canonical(Component(tuple(nfas), comp.accept)))
-    out: dict[str, Component] = {}
-    for state, comps in summands.items():
-        acc = comps[0]
-        for other in comps[1:]:
-            acc = _union_components(acc, other)
-        out[state] = acc
-    return RegSet(m, out)
+                parts.append((nfa.states, after_push, nfa.edges))
+        else:  # every stack survived its pushed word
+            summands.setdefault(rule.src, []).append((parts, comp.accept))
+    return RegSet(m, {state: _union_components(summed) for state, summed in summands.items()})

@@ -48,18 +48,21 @@ class SeparatorCertificate:
 def check_separator(m: Mpda, L: RegSet, K: RegSet, M: RegSet) -> CheckFailure | None:
     """None when M certifies that no member of L reaches K; otherwise the
     failed condition with a small counterexample where one exists."""
-    if not is_subset(K, M):
-        bad = next(iter(enumerate_members(intersect(K, complement(M, m)), 4)), None)
-        return CheckFailure("misses-target", bad)
+    co = complement(M, m)
+    outside = intersect(K, co)
+    if not is_empty(outside):
+        return CheckFailure("misses-target", _small_member(outside))
     meet = intersect(L, M)
     if not is_empty(meet):
-        bad = next(iter(enumerate_members(meet, 4)), None)
-        return CheckFailure("touches-source", bad)
-    pre = pre_image(m, M)
-    if not is_subset(pre, M):
-        bad = next(iter(enumerate_members(intersect(pre, complement(M, m)), 4)), None)
-        return CheckFailure("not-backward-closed", bad)
+        return CheckFailure("touches-source", _small_member(meet))
+    outside = intersect(pre_image(m, M), co)
+    if not is_empty(outside):
+        return CheckFailure("not-backward-closed", _small_member(outside))
     return None
+
+
+def _small_member(S: RegSet) -> Configuration | None:
+    return next(iter(enumerate_members(S, 4)), None)
 
 
 @dataclass(frozen=True)
@@ -74,27 +77,25 @@ def backward_fixpoint(m: Mpda, K: RegSet, max_rounds: int = 6) -> FixpointResult
     nothing new (then M is exactly the set of configurations reaching K)."""
     cur = K
     for rnd in range(1, max_rounds + 1):
-        nxt = union(cur, pre_image(m, cur))
-        if is_subset(nxt, cur):
+        pre = pre_image(m, cur)
+        if is_subset(pre, cur):
             return FixpointResult(True, cur, rnd)
-        cur = nxt
+        cur = union(cur, pre)
     return FixpointResult(False, cur, max_rounds)
 
 
 # ----------------------------------------------------- candidate enumeration
 
 def _complete_dfas(alphabet: tuple[StackSymbol, ...], n: int) -> Iterator[StackNfa]:
-    names = tuple(f"d{i}" for i in range(n))
-    keys = [(s, a) for s in names for a in alphabet]
+    keys = [(s, a) for s in range(n) for a in alphabet]
     for targets in itertools.product(range(n), repeat=len(keys)):
-        edges = frozenset((s, a, names[t]) for (s, a), t in zip(keys, targets))
-        yield StackNfa(names, frozenset({names[0]}), edges)
+        edges = frozenset((s, a, t) for (s, a), t in zip(keys, targets))
+        yield StackNfa(tuple(range(n)), frozenset({0}), edges)
 
 
 def _components_of_size(m: Mpda, n: int) -> Iterator[Component | None]:
     yield None  # no component: the state contributes nothing
-    names = tuple(f"d{i}" for i in range(n))
-    tuples = list(itertools.product(names, repeat=m.stack_count))
+    tuples = list(itertools.product(range(n), repeat=m.stack_count))
     for nfas in itertools.product(*(_complete_dfas(alpha, n) for alpha in m.alphabets)):
         for k in range(1, len(tuples) + 1):
             for accept in itertools.combinations(tuples, k):

@@ -23,6 +23,7 @@ from .model import (
     search,
     successors,
 )
+from .oracle import OracleVerdict
 
 ColoredConfiguration = AnnotatedConfiguration
 color_all = annotate
@@ -122,9 +123,11 @@ class _Embeddings:
         self.buckets.setdefault(c.uncolored_projection, []).append(c)
 
 
-def reach_wqo(m: Mpda, s: Configuration, t: Configuration) -> Witness | None:
+def reach_wqo(m: Mpda, s: Configuration, t: Configuration, max_nodes: int | None = None) -> OracleVerdict:
     """Exact reachability s -->* t for a weak machine and a single target,
-    with a witness when t is reachable.
+    with a witness when t is reachable, reported like the oracle's verdict:
+    "unreachable-budget" when more than `max_nodes` colored configurations
+    would be admitted, otherwise exact.
 
     Depth-first search over colored configurations; a new node is skipped
     when some already admitted node embeds into it (anything it could
@@ -140,17 +143,18 @@ def reach_wqo(m: Mpda, s: Configuration, t: Configuration) -> Witness | None:
         lambda c: c == target,
         depth_first=True,
         covered=_Embeddings(),
+        max_nodes=max_nodes,
     )
     if res.path is None:
-        return None
+        return OracleVerdict("unreachable-budget" if res.cut else "unreachable-complete", explored=res.explored)
     run = [c.plain for c in res.path]
     steps = tuple(next(r for r, nxt in successors(m, a) if nxt == b) for a, b in zip(run, run[1:]))
-    return Witness(run[0], steps)
+    return OracleVerdict("reachable", Witness(run[0], steps), explored=res.explored)
 
 
 def decide_wqo(m: Mpda, s: Configuration, t: Configuration) -> bool:
     """Exact reachability s -->* t for a weak machine and a single target."""
-    return reach_wqo(m, s, t) is not None
+    return reach_wqo(m, s, t).reachable
 
 
 @dataclass(frozen=True)

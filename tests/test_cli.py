@@ -7,6 +7,7 @@ from mpda.cli import main
 from mpda.gadgets import anbncn
 from mpda.model import Witness, replay
 from mpda.regsets import member, singleton
+from mpda.separator import check_separator
 
 
 def run(capsys, *argv):
@@ -104,7 +105,7 @@ class TestReach:
             "--from", "q : X1", "--to", "q : X8", "--method", "oracle",
         )
         assert code == 2 and record["status"] == "unknown"
-        assert record["truncated"] is True
+        assert record["truncated"] is True and record["budget"] == "max-size"
 
     def test_budget_exit_2(self, tmp_path, capsys):
         run(capsys, "gen", "expo:5", "--out", str(tmp_path))
@@ -113,7 +114,25 @@ class TestReach:
             "--from", "q : X1", "--to", "q : X5",
             "--method", "oracle", "--max-size", "40", "--max-explored", "3",
         )
-        assert code == 2 and record["status"] == "unknown"
+        assert code == 2 and record["status"] == "unknown" and record["budget"] == "max-explored"
+
+    def test_wqo_search_stops_at_max_explored(self, tmp_path, capsys):
+        # a one-state weak machine whose colored search runs for minutes
+        # without a node budget
+        mfile = tmp_path / "grow.mpda"
+        mfile.write_text(
+            "mpda {\n  states: q0\n  stacks: 2\n  alphabet 1: A0 A1\n  alphabet 2: B0 B1\n"
+            "  rule q0 B1 -> q0 : A0 A1 |\n  rule q0 B0 -> q0 : |\n  rule q0 A1 -> q0 : | B1 B1\n"
+            "  rule q0 A0 -> q0 : | B1 B0\n  rule q0 B0 -> q0 : | B0\n  rule q0 B0 -> q0 : A1 | B0\n"
+            "  rule q0 A0 -> q0 : A1 |\n}\n"
+        )
+        for method in ("wqo", "auto"):
+            code, record, _ = run(
+                capsys, "reach", str(mfile), "--from", "q0 : A0 |", "--to", "q0 : A1 | B1 B1",
+                "--method", method, "--max-explored", "200",
+            )
+            assert code == 2 and record["status"] == "unknown" and record["method"] == "wqo"
+            assert record["budget"] == "max-explored" and record["explored"] == 200
 
     def test_auto_picks_wqo_for_config_target(self, workdir, capsys):
         code, record, _ = run(
@@ -229,6 +248,28 @@ class TestRegsetOps:
         assert code == 0 and record["empty"] is False
         code, record, _ = run(capsys, "regset", mfile, "is-subset", tfile, tfile)
         assert code == 0 and record["subset"] is True
+
+
+class TestSeparatorCertificate:
+    def test_certificate_passes_the_check_after_a_round_trip(self, tmp_path, capsys):
+        # two rules into q at p: the predecessor fixpoint unions two summands
+        mfile = tmp_path / "m.mpda"
+        mfile.write_text(
+            "mpda {\n  states: p q\n  stacks: 1\n  alphabet 1: A B\n"
+            "  rule p A -> q :\n  rule p B -> q :\n}\n"
+        )
+        cfile = tmp_path / "sep.regset"
+        code, record, _ = run(
+            capsys, "reach", str(mfile), "--from", "p : A B", "--to", "q :",
+            "--method", "separator", "--certificate", str(cfile),
+        )
+        assert code == 1 and record["certificate_file"] == str(cfile)
+        m = formats.parse_mpda(mfile.read_text())
+        M = formats.parse_regset(cfile.read_text(), m)
+        L = singleton(m, formats.parse_configuration("p : A B", m))
+        K = singleton(m, formats.parse_configuration("q :", m))
+        assert check_separator(m, L, K, M) is None
+        assert member(M, formats.parse_configuration("p : B", m))
 
 
 class TestPreAndShrink:

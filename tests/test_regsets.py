@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from mpda.formats import parse_regset, serialize_regset
 from mpda.gadgets import anbncn
 from mpda.model import Configuration, Mpda, StackSymbol, all_configurations, successors
 from mpda.regsets import (
@@ -155,3 +156,31 @@ class TestPreImage:
         assert member(P, cfg(m, "q1", "D", ""))
         assert member(P, cfg(m, "q2", "", "C"))
         assert not member(P, cfg(m, "q1", "X D", ""))  # needs two steps
+
+
+class TestNumberedResults:
+    def test_results_survive_a_text_round_trip(self):
+        rng = random.Random(31)
+        for _ in range(20):
+            m = random_weak_mpda(rng)
+            probe = list(all_configurations(m, 3))
+            L, M = random_regset(rng, m), random_regset(rng, m)
+            same = union(L, L), intersect(L, L)
+            results = (*same, union(L, M), intersect(L, M), complement(L, m), pre_image(m, M))
+            for R in results:
+                back = parse_regset(serialize_regset(R), m)
+                for c in probe:
+                    assert member(back, c) == member(R, c), f"{c} in\n{serialize_regset(R)}"
+            for R in same:
+                for c in probe:
+                    assert member(R, c) == member(L, c)
+
+    def test_operations_number_their_states(self):
+        rng = random.Random(32)
+        for _ in range(20):
+            m = random_weak_mpda(rng)
+            L, M = random_regset(rng, m), random_regset(rng, m)
+            for R in (union(L, L), intersect(L, M), complement(L, m), pre_image(m, M)):
+                for comp in R.components.values():
+                    for nfa in comp.nfas:
+                        assert nfa.states == tuple(range(len(nfa.states)))

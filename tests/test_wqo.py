@@ -175,7 +175,7 @@ class TestWitness:
             m = random_weak_mpda(rng)
             s = random_configuration(rng, m, 3)
             t = random_configuration(rng, m, 3)
-            w = reach_wqo(m, s, t)
+            w = reach_wqo(m, s, t).witness
             assert (w is not None) == decide_wqo(m, s, t)
             if w is not None:
                 found += 1
