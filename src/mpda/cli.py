@@ -13,15 +13,24 @@ import json
 import sys
 import time
 import traceback
+from dataclasses import replace
 from pathlib import Path
 
 from . import classify as cls
 from . import formats, gadgets, marked, oracle, regsets, separator, wqo
-from .model import Configuration, Mpda, MpdaError, Witness, replay
+from .model import Configuration, Mpda, MpdaError, Verdict, replay
 
 
 class CliError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise `CliError` (exit 3 with the JSON error record)
+    rather than exiting 2, the code `reach` gives an unknown verdict."""
+
+    def error(self, message: str):
+        raise CliError(f"{self.prog}: {message} (see '{self.prog} --help')")
 
 
 def _read(path: str) -> str:
@@ -129,17 +138,12 @@ def _pick_method(m: Mpda, src, tgt) -> str:
     return "oracle"
 
 
-def cmd_reach(args) -> int:
-    m = _load_mpda(args.machine)
-    src = _endpoint(args.src, m)
-    tgt = _endpoint(args.to, m)
-    method = args.method
-    if method == "auto":
-        method = _pick_method(m, src, tgt)
-    started = time.perf_counter()
-    witness: Witness | None = None
-    verdict: oracle.OracleVerdict | None = None
-    extra: dict = {}
+def _as_set(m: Mpda, endpoint) -> regsets.RegSet:
+    return regsets.singleton(m, endpoint) if isinstance(endpoint, Configuration) else endpoint
+
+
+def _decide(args, m: Mpda, method: str, src, tgt) -> Verdict:
+    """The verdict of `method` on src -->* tgt."""
     if method == "oracle":
         if not isinstance(src, Configuration):
             raise CliError("the oracle needs a single source configuration (use --method marked or separator)")
@@ -148,69 +152,63 @@ def cmd_reach(args) -> int:
             max_explored=args.max_explored,
         )
         if isinstance(tgt, Configuration):
-            verdict = oracle.reach_config(m, src, tgt, budget)
-        else:
-            verdict = oracle.reach_regset(m, src, tgt, budget)
-    elif method == "marked":
+            return oracle.reach_config(m, src, tgt, budget)
+        return oracle.reach_regset(m, src, tgt, budget)
+    if method == "marked":
         if isinstance(src, Configuration) and isinstance(tgt, Configuration):
-            res = marked.decide_marked(m, src, tgt)
-            status = "reachable" if res.reachable else "unreachable"
-            if res.reachable:
-                witness = marked.reconstruct(m, src, res)
-            extra = {"size_bound": res.size_bound}
-        else:
-            L = src if not isinstance(src, Configuration) else regsets.singleton(m, src)
-            K = tgt if not isinstance(tgt, Configuration) else regsets.singleton(m, tgt)
-            rr = marked.decide_regreg(m, L, K, src_cap=args.src_cap, tgt_cap=args.tgt_cap)
-            status = "reachable" if rr.reachable else "unreachable"
-            witness = rr.witness
-            extra = {"src_cap": rr.src_cap, "tgt_cap": rr.tgt_cap}
-    elif method == "wqo":
+            return marked.reach_marked(m, src, tgt)
+        return marked.decide_regreg(m, _as_set(m, src), _as_set(m, tgt), src_cap=args.src_cap, tgt_cap=args.tgt_cap)
+    if method == "wqo":
         if not isinstance(tgt, Configuration):
             raise CliError("--method wqo needs a single target configuration")
         if isinstance(src, Configuration):
-            verdict = wqo.reach_wqo(m, src, tgt, max_nodes=args.max_explored)
-        else:
-            res = wqo.decide_reg_to_one(m, src, tgt, src_cap=args.src_cap)
-            status = "reachable" if res.reachable else "unreachable"
-            extra = {"src_cap": res.src_cap}
-            if res.source is not None:
-                extra["source"] = str(res.source)
-    elif method == "separator":
-        L = src if not isinstance(src, Configuration) else regsets.singleton(m, src)
-        K = tgt if not isinstance(tgt, Configuration) else regsets.singleton(m, tgt)
-        sres = separator.decide_separator(m, L, K)
-        status = {"reachable": "reachable", "unreachable": "unreachable", "unknown": "unknown"}[sres.status]
-        witness = sres.witness
-        if sres.certificate is not None and args.certificate:
-            _write(args.certificate, formats.serialize_regset(sres.certificate.separator))
-            extra["certificate_file"] = args.certificate
-    else:
-        raise CliError(f"unknown method {method!r}")
-    if verdict is not None:
-        # unreachable only when no cap cut the search, the size cap included
-        status = "reachable" if verdict.reachable else "unreachable" if verdict.complete and not verdict.truncated else "unknown"
-        witness = verdict.witness
-        extra = {"explored": verdict.explored, "truncated": verdict.truncated}
-        if status == "unknown":
-            extra["budget"] = "max-size" if verdict.complete else "max-explored"
+            return wqo.reach_wqo(m, (src,), tgt, max_nodes=args.max_explored)
+        cap = args.src_cap if args.src_cap is not None else wqo.default_src_cap(src, tgt)
+        verdict = wqo.reach_wqo(m, regsets.enumerate_members(src, cap), tgt, max_nodes=args.max_explored)
+        return replace(verdict, detail={"src_cap": cap})
+    if method == "separator":
+        return separator.decide_separator(m, _as_set(m, src), _as_set(m, tgt))
+    raise CliError(f"unknown method {method!r}")
+
+
+def cmd_reach(args) -> int:
+    m = _load_mpda(args.machine)
+    src = _endpoint(args.src, m)
+    tgt = _endpoint(args.to, m)
+    method = args.method
+    if method == "auto":
+        method = _pick_method(m, src, tgt)
+    started = time.perf_counter()
+    verdict = _decide(args, m, method, src, tgt)
     elapsed = time.perf_counter() - started
+    status, budget = verdict.status, verdict.budget
+    if status == "unreachable" and verdict.truncated:
+        # unreachable only when no cap cut the search, the size cap included
+        status, budget = "unknown", "max-size"
     record = {
         "command": "reach",
         "method": method,
         "status": status,
         "wall_time": round(elapsed, 4),
-        **extra,
+        **verdict.detail,
     }
     summary = f"{status} (method {method}, {elapsed:.2f}s)"
-    if "budget" in extra:
-        summary += f"; --{extra['budget']} ran out"
-    if witness is not None:
-        record["witness_length"] = len(witness.steps)
-        summary += f"; witness of length {len(witness.steps)}"
+    if verdict.explored is not None:
+        record.update(explored=verdict.explored, truncated=verdict.truncated)
+    if status == "unknown" and budget is not None:
+        record["budget"] = budget
+        summary += f"; {budget} budget ran out"
+    if verdict.witness is not None:
+        record["witness_length"] = len(verdict.witness.steps)
+        summary += f"; witness of length {len(verdict.witness.steps)}"
+        if not isinstance(src, Configuration):
+            record["source"] = str(verdict.witness.start)
         if args.witness:
-            _write(args.witness, formats.serialize_witness(witness))
+            _write(args.witness, formats.serialize_witness(verdict.witness))
             record["witness_file"] = args.witness
+    if verdict.certificate is not None and args.certificate:
+        _write(args.certificate, formats.serialize_regset(verdict.certificate.separator))
+        record["certificate_file"] = args.certificate
     _report(record, summary)
     return {"reachable": 0, "unreachable": 1, "unknown": 2}[status]
 
@@ -345,7 +343,7 @@ def cmd_shrink(args) -> int:
 # --------------------------------------------------------------------- main
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="mpda", description="multi-pushdown reachability toolkit")
+    p = _Parser(prog="mpda", description="multi-pushdown reachability toolkit")
     sub = p.add_subparsers(dest="cmd", required=True)
 
     c = sub.add_parser("classify", help="check weakness and normedness")
@@ -396,17 +394,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    cmd = None
     try:
+        args = build_parser().parse_args(argv)
+        cmd = args.cmd
         return args.fn(args)
     except (CliError, formats.ParseError, MpdaError, cls.NotWeak, cls.NotStronglyNormed,
             regsets.TooLarge, oracle.SourceNotInL, gadgets.BadGrammar) as e:
-        print(json.dumps({"command": args.cmd, "error": str(e)}), file=sys.stderr)
+        print(json.dumps({"command": cmd, "error": str(e)}), file=sys.stderr)
         print(f"error: {e}", file=sys.stderr)
         return 3
     except Exception as e:
-        print(json.dumps({"command": args.cmd, "internal_error": f"{type(e).__name__}: {e}"}), file=sys.stderr)
+        print(json.dumps({"command": cmd, "internal_error": f"{type(e).__name__}: {e}"}), file=sys.stderr)
         traceback.print_exc()
         return 4
 

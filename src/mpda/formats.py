@@ -96,7 +96,7 @@ def parse_mpda(text: str) -> Mpda:
     lines = text.splitlines()
     states: list[str] | None = None
     stack_count: int | None = None
-    alphabets: dict[int, list[str]] = {}
+    alphabets: dict[int, tuple[int, list[str]]] = {}  # stack index -> (line, names)
     rule_lines: list[tuple[int, list[str]]] = []
     opened = closed = False
     for lineno, raw in enumerate(lines, start=1):
@@ -121,6 +121,8 @@ def parse_mpda(text: str) -> Mpda:
             states = rest.split()
             if not states:
                 raise ParseError(lineno, "empty state list")
+            if len(set(states)) != len(states):
+                raise ParseError(lineno, "duplicate state")
         elif key_parts[:1] == ["stacks"] and len(key_parts) == 1:
             if stack_count is not None:
                 raise ParseError(lineno, "duplicate 'stacks:' line")
@@ -139,7 +141,7 @@ def parse_mpda(text: str) -> Mpda:
                 raise ParseError(lineno, f"bad stack index {key_parts[1]!r}") from None
             if idx in alphabets:
                 raise ParseError(lineno, f"duplicate alphabet for stack {idx}")
-            alphabets[idx] = rest.split()
+            alphabets[idx] = (lineno, rest.split())
         elif line.split()[:1] == ["rule"]:
             rule_lines.append((lineno, line.split()))
         else:
@@ -154,19 +156,22 @@ def parse_mpda(text: str) -> Mpda:
         raise ParseError(1, "missing 'stacks:' line")
     if set(alphabets) != set(range(1, stack_count + 1)):
         raise ParseError(1, f"need alphabets for stacks 1..{stack_count}, got {sorted(alphabets)}")
+    sym_by_name: dict[str, StackSymbol] = {}
+    for idx, (lineno, names) in sorted(alphabets.items(), key=lambda item: item[1][0]):
+        for name in names:
+            if name in sym_by_name:
+                raise ParseError(lineno, f"symbol {name!r} already declared on stack {sym_by_name[name].stack + 1}")
+            sym_by_name[name] = StackSymbol(name, idx - 1)
+    alpha = tuple(tuple(sym_by_name[name] for name in alphabets[i + 1][1]) for i in range(stack_count))
+    declared = set(states)
+    rules = []
+    for lineno, toks in rule_lines:
+        rule = _parse_rule_tokens(toks, lineno, stack_count, sym_by_name)
+        for state in (rule.src, rule.dst):
+            if state not in declared:
+                raise ParseError(lineno, f"rule references undeclared state {state!r}")
+        rules.append(rule)
     try:
-        alpha = tuple(
-            tuple(StackSymbol(name, i) for name in alphabets[i + 1])
-            for i in range(stack_count)
-        )
-        sym_by_name: dict[str, StackSymbol] = {}
-        for stack_syms in alpha:
-            for s in stack_syms:
-                sym_by_name[s.name] = s
-
-        rules = []
-        for lineno, toks in rule_lines:
-            rules.append(_parse_rule_tokens(toks, lineno, stack_count, sym_by_name))
         return Mpda(tuple(states), alpha, tuple(rules))
     except MpdaError as e:
         raise ParseError(1, str(e)) from None
@@ -264,6 +269,7 @@ def parse_witness(text: str, m: Mpda) -> Witness:
     start: Configuration | None = None
     steps: list[TransitionRule] = []
     declared = set(m.rules)
+    sym_by_name = {s.name: s for alpha in m.alphabets for s in alpha}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).strip()
         if not line:
@@ -271,9 +277,7 @@ def parse_witness(text: str, m: Mpda) -> Witness:
         if start is None:
             start = parse_configuration(line, m, lineno)
             continue
-        toks = line.split()
-        sym_by_name = {s.name: s for alpha in m.alphabets for s in alpha}
-        rule = _parse_rule_tokens(toks, lineno, m.stack_count, sym_by_name)
+        rule = _parse_rule_tokens(line.split(), lineno, m.stack_count, sym_by_name)
         if rule not in declared:
             raise ParseError(lineno, f"rule not declared by the machine: {rule}")
         steps.append(rule)

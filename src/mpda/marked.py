@@ -22,21 +22,22 @@ from .model import (
     Configuration,
     Mpda,
     TransitionRule,
+    Verdict,
     Witness,
     Word,
     annotate,
     replay,
     search,
 )
+from .regsets import enumerate_members
+from .wqo import default_src_cap
 
 
 class ReconstructionFailed(Exception):
     pass
 
 
-MarkedSymbol = AnnotatedSymbol
-MarkedConfiguration = AnnotatedConfiguration
-MWord = tuple[MarkedSymbol, ...]
+MWord = tuple[AnnotatedSymbol, ...]
 
 
 @dataclass(frozen=True)
@@ -49,9 +50,6 @@ class MarkedSubtransition:
         lhs = ("~" if self.lhs_marked else "") + self.origin.pop.name
         parts = " | ".join(" ".join(map(str, w)) for w in self.pushes)
         return f"rule {self.origin.src} {lhs} -> {self.origin.dst} : {parts}"
-
-
-unmarked = annotate
 
 
 def mk_subwords(word: Word, colored: frozenset[int] | None = None) -> set[MWord]:
@@ -68,7 +66,7 @@ def mk_subwords(word: Word, colored: frozenset[int] | None = None) -> set[MWord]
         min_prefix = (max(d) + 1) if d else 0
         for p in range(min_prefix, n + 1):
             result = tuple(
-                MarkedSymbol(word[j], j < p)
+                AnnotatedSymbol(word[j], j < p)
                 for j in range(n)
                 if j not in d
             )
@@ -108,17 +106,17 @@ def marked_subconfigurations(c: Configuration, max_size: int):
     per_stack = [sorted(mk_subwords(w)) for w in c.stacks]
     for combo in itertools.product(*per_stack):
         if sum(len(w) for w in combo) <= max_size:
-            yield MarkedConfiguration(c.state, tuple(combo))
+            yield AnnotatedConfiguration(c.state, tuple(combo))
 
 
 @dataclass(frozen=True)
 class MarkedSearchResult:
     reachable: bool
-    origin: MarkedConfiguration | None = None
+    origin: AnnotatedConfiguration | None = None
     steps: tuple[MarkedSubtransition, ...] = ()
     size_bound: int = 0
 
-    def marked_trace(self) -> list[MarkedConfiguration]:
+    def marked_trace(self) -> list[AnnotatedConfiguration]:
         assert self.origin is not None
         out = [self.origin]
         for st in self.steps:
@@ -140,9 +138,9 @@ def decide_marked(
         require_weak(m)
         cancel_table(m)  # raises NotStronglyNormed
     bound = t.size + len(m.states)
-    target = unmarked(t)
+    target = annotate(t)
 
-    def expand(cur: MarkedConfiguration):
+    def expand(cur: AnnotatedConfiguration):
         for w in cur.stacks:
             if w:
                 top = w[0]
@@ -223,17 +221,14 @@ def reconstruct(
     return witness
 
 
+def reach_marked(m: Mpda, s: Configuration, t: Configuration) -> Verdict:
+    """`decide_marked` as a verdict, with its path expanded into a witness."""
+    res = decide_marked(m, s, t)
+    witness = reconstruct(m, s, res) if res.reachable else None
+    return Verdict("reachable" if res.reachable else "unreachable", witness, detail={"size_bound": res.size_bound})
+
+
 # ------------------------------------------------------- regular endpoints
-
-@dataclass(frozen=True)
-class RegRegResult:
-    reachable: bool
-    source: Configuration | None
-    target: Configuration | None
-    witness: Witness | None
-    src_cap: int
-    tgt_cap: int
-
 
 def default_tgt_cap(K) -> int:
     n_k = max((len(nfa.states) for comp in K.components.values() for nfa in comp.nfas), default=0)
@@ -247,12 +242,10 @@ def decide_regreg(
     K,
     src_cap: int | None = None,
     tgt_cap: int | None = None,
-) -> RegRegResult:
+) -> Verdict:
     """Reachability between two regular sets for strongly normed weak
-    machines, by trying endpoint pairs up to size caps."""
-    from .regsets import enumerate_members
-    from .wqo import default_src_cap
-
+    machines, by trying endpoint pairs up to size caps; "unreachable" holds
+    for the endpoints within the caps, which `detail` reports."""
     require_weak(m)
     cancel = cancel_table(m)
     tcap = tgt_cap if tgt_cap is not None else default_tgt_cap(K)
@@ -264,5 +257,5 @@ def decide_regreg(
             res = decide_marked(m, s, t, check_preconditions=False)
             if res.reachable:
                 witness = reconstruct(m, s, res, cancel)
-                return RegRegResult(True, s, t, witness, scap, tcap)
-    return RegRegResult(False, None, None, None, used_scap, tcap)
+                return Verdict("reachable", witness, detail={"src_cap": scap, "tgt_cap": tcap})
+    return Verdict("unreachable", detail={"src_cap": used_scap, "tgt_cap": tcap})

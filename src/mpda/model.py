@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Iterable, Iterator, NamedTuple
 
 
@@ -134,9 +134,6 @@ class Mpda:
         except KeyError:
             raise MpdaError(f"unknown symbol {name!r}") from None
 
-    def rules_for(self, state: str, pop: StackSymbol) -> tuple[TransitionRule, ...]:
-        return tuple(r for _, r in self._rules_by_pop.get((state, pop), ()))  # type: ignore[attr-defined]
-
     def variants(self, build: Callable[[TransitionRule, bool, int], tuple], state: str, pop: StackSymbol, bit: bool) -> tuple:
         """`(rule, build(rule, bit, stack_count))` for every rule popping `pop`
         in `state`, in declaration order.  Built on first use and kept with
@@ -144,7 +141,8 @@ class Mpda:
         key = (build, state, pop, bit)
         table = self._variants  # type: ignore[attr-defined]
         if key not in table:
-            table[key] = tuple((r, build(r, bit, self.stack_count)) for r in self.rules_for(state, pop))
+            rules = self._rules_by_pop.get((state, pop), ())  # type: ignore[attr-defined]
+            table[key] = tuple((r, build(r, bit, self.stack_count)) for _, r in rules)
         return table[key]
 
     def empty_configuration(self, state: str) -> "Configuration":
@@ -216,9 +214,6 @@ class Witness:
     start: Configuration
     steps: tuple[TransitionRule, ...]
 
-    def __len__(self) -> int:
-        return len(self.steps)
-
 
 class OccurrenceId(NamedTuple):
     """One symbol occurrence in one configuration of a replayed witness."""
@@ -249,37 +244,62 @@ def successors(m: Mpda, c: Configuration) -> list[tuple[TransitionRule, Configur
     return [(r, step(m, c, r)) for _, r in fired]
 
 
+@dataclass(frozen=True)
+class Verdict:
+    """The answer of every reachability decider: "reachable" with a
+    `witness`, "unreachable" (a separator's with its `certificate`), or
+    "unknown" with the `budget` that ran out.  Searches count the nodes they
+    admit in `explored`; `truncated` says a size cap left configurations
+    unexpanded, so an "unreachable" holds only below that cap.  `detail`
+    holds the record fields of one decider."""
+
+    status: str  # "reachable" | "unreachable" | "unknown"
+    witness: Witness | None = None
+    explored: int | None = None
+    truncated: bool = False
+    certificate: Any = None
+    budget: str | None = None
+    detail: dict = field(default_factory=dict)
+
+    @property
+    def reachable(self) -> bool:
+        return self.status == "reachable"
+
+    @property
+    def complete(self) -> bool:
+        return self.status == "unreachable"
+
+
 class SearchResult(NamedTuple):
     path: tuple | None  # the nodes from a root to the target; None when not found
     labels: tuple  # the labels of the path's steps
     explored: int  # nodes admitted
-    cut: bool  # a node or depth cap left a node out
+    cut: bool  # the node cap left a node out
 
 
 def search(roots: Iterable[Hashable], expand: Callable[[Any], Iterable[tuple[Any, Hashable]]], is_target: Callable[[Any], bool],
-           depth_first: bool = False, covered: Any = None, max_nodes: int | None = None, max_depth: int | None = None) -> SearchResult:
+           depth_first: bool = False, covered: Any = None, max_nodes: int | None = None) -> SearchResult:
     """Graph search from `roots` to the first node that `is_target` accepts.
 
     `expand(node)` yields `(label, child)` pairs.  A root or child is
     admitted unless it is covered: by an admitted equal node, or, when a
     `covered` index (`in` and `add`) is given, by whatever the index says
     subsumes it.  Admitted nodes are tested against the target at once and
-    keep a parent pointer, which gives the path and its labels.  BFS admits
-    every root before expanding; DFS takes the next root only when its
-    stack runs empty, so each root is checked against all reached before it.
-    At most `max_nodes` nodes are admitted and nodes at `max_depth` are not
-    expanded; `cut` says whether either cap left a node out."""
+    keep a parent pointer, which gives the path and its labels.  Roots are
+    drawn lazily: BFS admits every root before expanding; DFS takes the next
+    root only when its stack runs empty, so each root is checked against
+    all reached before it.  At most `max_nodes` nodes are admitted; `cut`
+    says whether that cap left a node out."""
     parent: dict[Any, tuple[Any, Any] | None] = {}
     seen: Any = parent if covered is None else covered
-    frontier: deque[tuple[Any, int]] = deque()
+    frontier: deque[Any] = deque()
     pending = iter(roots)
-    cut = False
 
-    def admit(node, via: tuple[Any, Any] | None, depth: int) -> bool:
+    def admit(node, via: tuple[Any, Any] | None) -> bool:
         parent[node] = via
         if covered is not None:
             covered.add(node)
-        frontier.append((node, depth))
+        frontier.append(node)
         return is_target(node)
 
     def found(node) -> SearchResult:
@@ -288,29 +308,28 @@ def search(roots: Iterable[Hashable], expand: Callable[[Any], Iterable[tuple[Any
             node, label = via
             nodes.append(node)
             labels.append(label)
-        return SearchResult(tuple(reversed(nodes)), tuple(reversed(labels)), len(parent), cut)
+        return SearchResult(tuple(reversed(nodes)), tuple(reversed(labels)), len(parent), False)
 
     while True:
         if not frontier:
             for root in pending:
-                if root not in seen:
-                    if admit(root, None, 0):
-                        return found(root)
-                    if depth_first:
-                        break
+                if root in seen:
+                    continue
+                if max_nodes is not None and len(parent) >= max_nodes:
+                    return SearchResult(None, (), len(parent), True)
+                if admit(root, None):
+                    return found(root)
+                if depth_first:
+                    break
             if not frontier:
-                return SearchResult(None, (), len(parent), cut)
-        node, depth = frontier.pop() if depth_first else frontier.popleft()
-        children = expand(node)
-        if max_depth is not None and depth >= max_depth:
-            cut = cut or any(child not in seen for _, child in children)
-            continue
-        for label, child in children:
+                return SearchResult(None, (), len(parent), False)
+        node = frontier.pop() if depth_first else frontier.popleft()
+        for label, child in expand(node):
             if child in seen:
                 continue
             if max_nodes is not None and len(parent) >= max_nodes:
                 return SearchResult(None, (), len(parent), True)
-            if admit(child, (node, label), depth + 1):
+            if admit(child, (node, label)):
                 return found(child)
 
 

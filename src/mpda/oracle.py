@@ -3,13 +3,14 @@ small instances and as an independent cross-check for the other deciders."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .model import (
     Configuration,
     Mpda,
     OccurrenceId,
+    Verdict,
     Witness,
     descendant_forest,
     occurrences_of,
@@ -29,25 +30,6 @@ class SourceNotInL(Exception):
 class OracleBudget:
     max_config_size: int
     max_explored: int = 100_000
-    max_depth: int | None = None
-
-
-@dataclass(frozen=True)
-class OracleVerdict:
-    status: str  # "reachable" | "unreachable-complete" | "unreachable-budget"
-    witness: Witness | None = None
-    explored: int = 0
-    # true when some generated configuration exceeded max_config_size and was
-    # not expanded; the search space was truncated at that size
-    truncated: bool = field(default=False, compare=False)
-
-    @property
-    def reachable(self) -> bool:
-        return self.status == "reachable"
-
-    @property
-    def complete(self) -> bool:
-        return self.status == "unreachable-complete"
 
 
 def bfs_reach(
@@ -55,13 +37,13 @@ def bfs_reach(
     source: Configuration,
     targets: Callable[[Configuration], bool],
     budget: OracleBudget,
-) -> OracleVerdict:
+) -> Verdict:
     """Breadth-first search from `source`, returning a shortest witness.
 
     Configurations larger than the size cap are generated and tested against
-    the target but never expanded.  The unreachable verdict is "complete"
-    when neither the exploration cap nor the depth cap cut a node; the
-    `truncated` flag records whether the size cap shaped the search space."""
+    the target but never expanded, and `truncated` records whether that
+    shaped the search space.  The search says "unknown" when the
+    exploration cap cut a node, and "unreachable" otherwise."""
     truncated = False
 
     def expand(c: Configuration):
@@ -72,17 +54,19 @@ def bfs_reach(
             return ()
         return succ
 
-    res = search((source,), expand, targets, max_nodes=budget.max_explored, max_depth=budget.max_depth)
-    status = "reachable" if res.path else "unreachable-budget" if res.cut else "unreachable-complete"
-    witness = Witness(res.path[0], res.labels) if res.path else None
-    return OracleVerdict(status, witness, explored=res.explored, truncated=truncated)
+    res = search((source,), expand, targets, max_nodes=budget.max_explored)
+    if res.path:
+        return Verdict("reachable", Witness(res.path[0], res.labels), res.explored, truncated)
+    if res.cut:
+        return Verdict("unknown", None, res.explored, truncated, budget="max-explored")
+    return Verdict("unreachable", None, res.explored, truncated)
 
 
-def reach_config(m: Mpda, source: Configuration, target: Configuration, budget: OracleBudget) -> OracleVerdict:
+def reach_config(m: Mpda, source: Configuration, target: Configuration, budget: OracleBudget) -> Verdict:
     return bfs_reach(m, source, lambda c: c == target, budget)
 
 
-def reach_regset(m: Mpda, source: Configuration, K: RegSet, budget: OracleBudget) -> OracleVerdict:
+def reach_regset(m: Mpda, source: Configuration, K: RegSet, budget: OracleBudget) -> Verdict:
     return bfs_reach(m, source, lambda c: member(K, c), budget)
 
 
@@ -91,7 +75,7 @@ def shortest_path_length(
     source: Configuration,
     target: Configuration,
     budget: OracleBudget,
-) -> int | OracleVerdict:
+) -> int | Verdict:
     """Length of a shortest rule sequence from source to target, or the
     (unreachable) verdict."""
     verdict = reach_config(m, source, target, budget)

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .model import Configuration, Mpda, StackSymbol, Witness
+from .model import Configuration, Mpda, StackSymbol, Verdict, all_configurations
 from .oracle import OracleBudget, reach_regset
 from .regsets import (
     Component,
@@ -34,7 +34,7 @@ from .regsets import (
 @dataclass(frozen=True)
 class CheckFailure:
     reason: str  # "misses-target" | "touches-source" | "not-backward-closed"
-    example: Configuration | None
+    example: Configuration
 
 
 @dataclass
@@ -47,7 +47,7 @@ class SeparatorCertificate:
 
 def check_separator(m: Mpda, L: RegSet, K: RegSet, M: RegSet) -> CheckFailure | None:
     """None when M certifies that no member of L reaches K; otherwise the
-    failed condition with a small counterexample where one exists."""
+    failed condition with a counterexample."""
     co = complement(M, m)
     outside = intersect(K, co)
     if not is_empty(outside):
@@ -61,8 +61,33 @@ def check_separator(m: Mpda, L: RegSet, K: RegSet, M: RegSet) -> CheckFailure | 
     return None
 
 
-def _small_member(S: RegSet) -> Configuration | None:
-    return next(iter(enumerate_members(S, 4)), None)
+def _small_member(S: RegSet) -> Configuration:
+    """A member of the nonempty set S: the first of size <= 4, or else one
+    shortest word per stack into an accepting tuple that all stacks reach."""
+    small = next(iter(enumerate_members(S, 4)), None)
+    if small is not None:
+        return small
+    for state, comp in sorted(S.components.items()):
+        words = [_shortest_words(nfa) for nfa in comp.nfas]
+        for tup in sorted(comp.accept, key=str):
+            if all(f in w for f, w in zip(tup, words)):
+                return Configuration(state, tuple(w[f] for f, w in zip(tup, words)))
+    raise ValueError("the set has no member")
+
+
+def _shortest_words(nfa: StackNfa) -> dict:
+    """A shortest word from an initial state to each reachable state."""
+    succ: dict = {}
+    for src, sym, dst in sorted(nfa.edges, key=lambda e: (e[1].name, str(e[2]))):
+        succ.setdefault(src, []).append((sym, dst))
+    order = sorted(nfa.initials, key=str)
+    words = dict.fromkeys(order, ())
+    for q in order:  # breadth first: the loop takes the states it appends
+        for sym, dst in succ.get(q, ()):
+            if dst not in words:
+                words[dst] = words[q] + (sym,)
+                order.append(dst)
+    return words
 
 
 @dataclass(frozen=True)
@@ -108,15 +133,11 @@ def candidate_separators(m: Mpda, signature_size: int = 3) -> Iterator[RegSet]:
     Candidates that agree on all configurations of size <= signature_size
     with an earlier candidate are skipped."""
     seen_signatures: set[tuple[bool, ...]] = set()
-    probe = None
+    probe = list(all_configurations(m, signature_size))
     for n in itertools.count(1):
-        for assignment in itertools.product(*( _components_of_size(m, n) for _ in m.states)):
+        for assignment in itertools.product(*(_components_of_size(m, n) for _ in m.states)):
             comps = {q: comp for q, comp in zip(m.states, assignment) if comp is not None}
             cand = RegSet(m, comps)
-            if probe is None:
-                from .model import all_configurations
-
-                probe = list(all_configurations(m, signature_size))
             sig = tuple(member(cand, c) for c in probe)
             if sig in seen_signatures:
                 continue
@@ -126,61 +147,55 @@ def candidate_separators(m: Mpda, signature_size: int = 3) -> Iterator[RegSet]:
 
 # ----------------------------------------------------------------- decider
 
-@dataclass(frozen=True)
-class SeparatorBudget:
-    rounds: int = 6
-    fixpoint_rounds: int = 6
-    candidates_per_round: int = 64
-    explored_per_round: int = 2000
+# rounds of the decider; each explores more sources with more nodes and
+# then either runs the predecessor fixpoint (first round) or checks more
+# candidate separators
+ROUNDS = 6
+FIXPOINT_ROUNDS = 6
+CANDIDATES_PER_ROUND = 64
+EXPLORED_PER_ROUND = 2000
 
 
-@dataclass
-class SeparatorResult:
-    status: str  # "reachable" | "unreachable" | "unknown"
-    witness: Witness | None = None
-    certificate: SeparatorCertificate | None = None
-
-
-def decide_separator(m: Mpda, L: RegSet, K: RegSet, budget: SeparatorBudget | None = None) -> SeparatorResult:
+def decide_separator(m: Mpda, L: RegSet, K: RegSet) -> Verdict:
     """Semi-decider for L -->* K on strongly normed machines.
 
     Interleaves positive rounds (oracle runs from ever-larger members of L
     with growing budgets) with negative rounds (predecessor fixpoint first,
-    then canonical candidate separators).  Returns unknown when the budget
-    runs out."""
-    budget = budget or SeparatorBudget()
+    then canonical candidate separators).  An "unreachable" verdict carries
+    a `SeparatorCertificate`; the verdict is "unknown", with budget
+    "rounds", when the last round ends undecided."""
     base_size = 1
     for comp in K.components.values():
         base_size = max(base_size, max((len(n.states) for n in comp.nfas), default=1))
     tried_sources: set[Configuration] = set()
     candidates = candidate_separators(m)
     fixpoint_done = False
-    for rnd in range(1, budget.rounds + 1):
+    for rnd in range(1, ROUNDS + 1):
         # positive: explore from small members of L
         src_cap = rnd + 1
         oracle_budget = OracleBudget(
             max_config_size=src_cap + base_size + rnd,
-            max_explored=budget.explored_per_round * rnd,
+            max_explored=EXPLORED_PER_ROUND * rnd,
         )
         for s in enumerate_members(L, src_cap):
             if s in tried_sources:
                 continue
             verdict = reach_regset(m, s, K, oracle_budget)
             if verdict.reachable:
-                return SeparatorResult("reachable", witness=verdict.witness)
+                return Verdict("reachable", witness=verdict.witness)
             if verdict.complete and not verdict.truncated:
                 tried_sources.add(s)  # settled for good; retry the rest with bigger budgets
         # negative: fixpoint once, then candidate separators
         try:
             if not fixpoint_done:
                 fixpoint_done = True
-                fp = backward_fixpoint(m, K, budget.fixpoint_rounds)
+                fp = backward_fixpoint(m, K, FIXPOINT_ROUNDS)
                 if fp.converged and is_empty(intersect(L, fp.result)):
-                    return SeparatorResult("unreachable", certificate=SeparatorCertificate(fp.result))
+                    return Verdict("unreachable", certificate=SeparatorCertificate(fp.result))
             else:
-                for cand in itertools.islice(candidates, budget.candidates_per_round):
+                for cand in itertools.islice(candidates, CANDIDATES_PER_ROUND):
                     if check_separator(m, L, K, cand) is None:
-                        return SeparatorResult("unreachable", certificate=SeparatorCertificate(cand))
+                        return Verdict("unreachable", certificate=SeparatorCertificate(cand))
         except TooLarge:
             pass  # negative side stalled; keep trying the positive side
-    return SeparatorResult("unknown")
+    return Verdict("unknown", budget="rounds")

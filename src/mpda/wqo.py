@@ -10,7 +10,7 @@ depth-first search finite.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import Iterable
 
 from .classify import require_weak
 from .model import (
@@ -18,18 +18,15 @@ from .model import (
     Configuration,
     Mpda,
     TransitionRule,
+    Verdict,
     Witness,
     annotate,
     search,
     successors,
 )
-from .oracle import OracleVerdict
-
-ColoredConfiguration = AnnotatedConfiguration
-color_all = annotate
 
 
-def colored_leq(a: ColoredConfiguration, b: ColoredConfiguration) -> bool:
+def colored_leq(a: AnnotatedConfiguration, b: AnnotatedConfiguration) -> bool:
     """a is b with some colored occurrences removed.  Greedy per-stack check:
     skipped positions of b must be colored, matched positions must agree on
     both symbol and color.  So a and b share their `uncolored_projection`."""
@@ -49,9 +46,9 @@ def colored_leq(a: ColoredConfiguration, b: ColoredConfiguration) -> bool:
 
 def colored_successors(
     m: Mpda,
-    r: ColoredConfiguration,
+    r: AnnotatedConfiguration,
     uncolored_limit: int | None = None,
-) -> list[ColoredConfiguration]:
+) -> list[AnnotatedConfiguration]:
     """One colored step.
 
     Popping a colored occurrence pushes everything colored and is only
@@ -102,7 +99,7 @@ def source_colorings(s: Configuration, uncolored_limit: int):
     positions = [(i, p) for i, w in enumerate(s.stacks) for p in range(len(w))]
     for k in range(min(len(positions), uncolored_limit - 1) + 1):
         for kept in map(set, itertools.combinations(positions, k)):
-            yield ColoredConfiguration(
+            yield AnnotatedConfiguration(
                 s.state,
                 tuple(tuple((sym, (i, p) not in kept) for p, sym in enumerate(w)) for i, w in enumerate(s.stacks)),
             )
@@ -114,54 +111,49 @@ class _Embeddings:
     colored_leq only relates configurations of one bucket."""
 
     def __init__(self) -> None:
-        self.buckets: dict[tuple, list[ColoredConfiguration]] = {}
+        self.buckets: dict[tuple, list[AnnotatedConfiguration]] = {}
 
-    def __contains__(self, c: ColoredConfiguration) -> bool:
+    def __contains__(self, c: AnnotatedConfiguration) -> bool:
         return any(colored_leq(v, c) for v in self.buckets.get(c.uncolored_projection, ()))
 
-    def add(self, c: ColoredConfiguration) -> None:
+    def add(self, c: AnnotatedConfiguration) -> None:
         self.buckets.setdefault(c.uncolored_projection, []).append(c)
 
 
-def reach_wqo(m: Mpda, s: Configuration, t: Configuration, max_nodes: int | None = None) -> OracleVerdict:
-    """Exact reachability s -->* t for a weak machine and a single target,
-    with a witness when t is reachable, reported like the oracle's verdict:
-    "unreachable-budget" when more than `max_nodes` colored configurations
-    would be admitted, otherwise exact.
+def reach_wqo(m: Mpda, sources: Iterable[Configuration], t: Configuration, max_nodes: int | None = None) -> Verdict:
+    """Exact reachability of a single target t from some of `sources` for a
+    weak machine, with a witness from the first source that reaches t:
+    "unknown" when more than `max_nodes` colored configurations would be
+    admitted, otherwise exact.
 
-    Depth-first search over colored configurations; a new node is skipped
-    when some already admitted node embeds into it (anything it could
-    contribute is then reachable from the smaller node as well).  Every
-    colored step fires a concrete rule, so the colored path with its colors
-    dropped is a run from s to t."""
+    One depth-first search over colored configurations, which draws the
+    sources lazily; a new node is skipped when some already admitted node
+    embeds into it (anything it could contribute is then reachable from the
+    smaller node as well).  Every colored step fires a concrete rule, so the
+    colored path with its colors dropped is a run from a source to t."""
     require_weak(m)
     limit = len(m.states) + t.size
-    target = color_all(t, colored=False)
+    target = annotate(t, colored=False)
     res = search(
-        source_colorings(s, limit),
+        (c for s in sources for c in source_colorings(s, limit)),
         lambda c: ((None, nxt) for nxt in colored_successors(m, c, uncolored_limit=limit)),
         lambda c: c == target,
         depth_first=True,
         covered=_Embeddings(),
         max_nodes=max_nodes,
     )
+    if res.cut:
+        return Verdict("unknown", explored=res.explored, budget="max-explored")
     if res.path is None:
-        return OracleVerdict("unreachable-budget" if res.cut else "unreachable-complete", explored=res.explored)
+        return Verdict("unreachable", explored=res.explored)
     run = [c.plain for c in res.path]
     steps = tuple(next(r for r, nxt in successors(m, a) if nxt == b) for a, b in zip(run, run[1:]))
-    return OracleVerdict("reachable", Witness(run[0], steps), explored=res.explored)
+    return Verdict("reachable", Witness(run[0], steps), explored=res.explored)
 
 
 def decide_wqo(m: Mpda, s: Configuration, t: Configuration) -> bool:
     """Exact reachability s -->* t for a weak machine and a single target."""
-    return reach_wqo(m, s, t).reachable
-
-
-@dataclass(frozen=True)
-class RegToOneResult:
-    reachable: bool
-    source: Configuration | None
-    src_cap: int
+    return reach_wqo(m, (s,), t).reachable
 
 
 def default_src_cap(L, t: Configuration) -> int:
@@ -169,15 +161,3 @@ def default_src_cap(L, t: Configuration) -> int:
     n_states = len(L.mpda.states)
     n_l = max((len(nfa.states) for comp in L.components.values() for nfa in comp.nfas), default=0)
     return (t.size + n_states) * (n_l + 1) + n_l * L.mpda.stack_count
-
-
-def decide_reg_to_one(m: Mpda, L, t: Configuration, src_cap: int | None = None) -> RegToOneResult:
-    """Reachability of a single target from some member of a regular set,
-    by trying candidate sources up to a size cap."""
-    from .regsets import enumerate_members
-
-    cap = src_cap if src_cap is not None else default_src_cap(L, t)
-    for s in enumerate_members(L, cap):
-        if decide_wqo(m, s, t):
-            return RegToOneResult(True, s, cap)
-    return RegToOneResult(False, None, cap)

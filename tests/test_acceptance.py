@@ -10,6 +10,7 @@ from mpda import formats
 from mpda.gadgets import anbncn, cfg_intersection, expo, nonreg_forward, parse_grammar
 from mpda.marked import decide_marked, mk_subwords, reconstruct
 from mpda.model import (
+    AnnotatedConfiguration,
     Configuration,
     Mpda,
     StackSymbol,
@@ -39,7 +40,7 @@ from mpda.regsets import (
     union,
 )
 from mpda.separator import decide_separator
-from mpda.wqo import ColoredConfiguration, colored_leq, colored_successors, decide_wqo
+from mpda.wqo import colored_leq, colored_successors, decide_wqo
 
 from helpers import (
     random_configuration,
@@ -71,7 +72,7 @@ class TestCriterion01ExampleAutomaton:
     def test_wrong_final_stack_is_unreachable_complete(self):
         inst = anbncn()
         v = reach_config(inst.mpda, inst.source, cfg(inst.mpda, "q2", "X", ""), OracleBudget(6))
-        assert v.status == "unreachable-complete"
+        assert v.status == "unreachable"
 
 
 class TestCriterion02ExponentialFamily:
@@ -115,7 +116,7 @@ class TestCriterion04OracleVersusWqo:
             s = random_configuration(rng, m, 3)
             t = random_configuration(rng, m, 3)
             v = reach_config(m, s, t, OracleBudget(max_config_size=s.size))
-            assert v.status in ("reachable", "unreachable-complete")
+            assert v.status in ("reachable", "unreachable")
             assert v.reachable == decide_wqo(m, s, t), f"{s} -> {t} on {m.rules}"
 
 
@@ -204,7 +205,7 @@ def colored_configurations(m, max_size):
                 for words in itertools.product(
                     *(itertools.product(letters[i], repeat=lens[i]) for i in range(m.stack_count))
                 ):
-                    yield ColoredConfiguration(state, tuple(words))
+                    yield AnnotatedConfiguration(state, tuple(words))
 
 
 def _compositions(total, parts):
@@ -223,7 +224,7 @@ def colored_deletions(r):
     for k in range(1, len(colored_pos) + 1):
         for drop in itertools.combinations(colored_pos, k):
             gone = set(drop)
-            yield ColoredConfiguration(
+            yield AnnotatedConfiguration(
                 r.state,
                 tuple(
                     tuple(e for p, e in enumerate(w) if (i, p) not in gone)

@@ -6,7 +6,7 @@ from mpda import formats
 from mpda.cli import main
 from mpda.gadgets import anbncn
 from mpda.model import Witness, replay
-from mpda.regsets import member, singleton
+from mpda.regsets import member, singleton, union
 from mpda.separator import check_separator
 
 
@@ -155,6 +155,36 @@ class TestReach:
         assert w.start == formats.parse_configuration("q1 : X D |", m)
         assert replay(m, w) == formats.parse_configuration("q2 : |", m)
 
+    def _set_source(self, workdir):
+        # the first member of the set is stuck; the second reaches q2 : |
+        m = formats.parse_mpda((workdir / "machine.mpda").read_text())
+        L = union(*(singleton(m, formats.parse_configuration(c, m)) for c in ("q1 : | C", "q1 : X D | C")))
+        sfile = workdir / "sources.regset"
+        sfile.write_text(formats.serialize_regset(L))
+        return m, "@" + str(sfile)
+
+    def test_wqo_from_a_set_writes_a_replayable_witness(self, workdir, capsys):
+        m, source = self._set_source(workdir)
+        wfile = workdir / "wqo.witness"
+        code, record, _ = run(
+            capsys, "reach", str(workdir / "machine.mpda"), "--from", source, "--to", "q2 : |",
+            "--method", "wqo", "--witness", str(wfile),
+        )
+        assert code == 0 and record["status"] == "reachable"
+        w = formats.parse_witness(wfile.read_text(), m)
+        assert len(w.steps) == record["witness_length"]
+        assert str(w.start) == record["source"] == "q1 : X D | C"
+        assert replay(m, w) == formats.parse_configuration("q2 : |", m)
+
+    def test_wqo_from_a_set_stops_at_max_explored(self, workdir, capsys):
+        _, source = self._set_source(workdir)
+        code, record, _ = run(
+            capsys, "reach", str(workdir / "machine.mpda"), "--from", source, "--to", "q2 : |",
+            "--method", "wqo", "--max-explored", "1",
+        )
+        assert code == 2 and record["status"] == "unknown"
+        assert record["budget"] == "max-explored" and record["explored"] == 1
+
     def test_auto_picks_marked_when_strongly_normed(self, tmp_path, capsys):
         run(capsys, "gen", "expo:3", "--out", str(tmp_path))
         code, record, _ = run(
@@ -197,6 +227,21 @@ class TestExitCodes:
         assert code == 3 and "integer" in record["error"]
         code, record, _ = run(capsys, "regset", str(workdir / "machine.mpda"), "member")
         assert code == 3
+
+    def test_usage_errors_exit_3_with_a_record(self, workdir, capsys):
+        for argv in (
+            ["reach"],
+            ["reach", str(workdir / "machine.mpda"), "--from", "q1 : X D |", "--to", "q2 : |", "--max-explored", "abc"],
+            ["no-such-command"],
+        ):
+            code, record, _ = run(capsys, *argv)
+            assert code == 3 and record is not None and "error" in record, argv
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as ei:
+            main(["reach", "--help"])
+        assert ei.value.code == 0
+        assert "--max-explored" in capsys.readouterr().out
 
     def test_unwritable_output_is_an_input_error(self, workdir, capsys):
         code, record, _ = run(

@@ -44,6 +44,9 @@ class TestMpdaFormat:
         (MACHINE.replace("rule q1 B -> q1 : |", "rule q1 B => q1 : |"), 9),
         (MACHINE.replace("alphabet 2: C", "alphabet two: C"), 6),
         (MACHINE.replace("rule q2 C -> q2 : |", "rule q2 C -> q2 : C"), 11),
+        (MACHINE.replace("rule q2 C -> q2 : |", "rule q2 C -> q9 : |"), 11),
+        (MACHINE.replace("states: q1 q2", "states: q1 q1"), 3),
+        (MACHINE.replace("alphabet 2: C", "alphabet 2: C X"), 6),
     ])
     def test_errors_carry_line_numbers(self, bad, line):
         with pytest.raises(ParseError) as ei:

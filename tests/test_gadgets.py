@@ -55,7 +55,7 @@ class TestCommFreeCounters:
     def test_unreachable_count(self):
         inst = comm_free_counters(((1, (0, 1)),), (2, 0), (2, 1))
         v = reach_regset(inst.mpda, inst.source, inst.target, OracleBudget(4))
-        assert v.status == "unreachable-complete"
+        assert v.status == "unreachable"
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -126,7 +126,7 @@ class TestCfgIntersection:
         g2 = self.g("terminals: a b\nnonterminals: T\nstart: T\nT -> b")
         inst = cfg_intersection(g1, g2)
         v = reach_regset(inst.mpda, inst.source, inst.target, OracleBudget(6))
-        assert v.status == "unreachable-complete"
+        assert v.status == "unreachable"
 
     def test_longer_common_word(self):
         # g1 = a^n b (n >= 0), g2 = a a b: intersection {aab}

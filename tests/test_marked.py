@@ -5,7 +5,6 @@ import pytest
 from mpda.classify import NotStronglyNormed, NotWeak, cancel_table
 from mpda.gadgets import anbncn, expo, nonreg_forward
 from mpda.marked import (
-    MarkedSymbol,
     decide_marked,
     decide_regreg,
     marked_subconfigurations,
@@ -13,9 +12,8 @@ from mpda.marked import (
     mk_subwords,
     reconstruct,
     subtransitions_for,
-    unmarked,
 )
-from mpda.model import Configuration, Mpda, StackSymbol, TransitionRule, replay
+from mpda.model import AnnotatedSymbol, Configuration, Mpda, StackSymbol, TransitionRule, annotate, replay
 from mpda.oracle import OracleBudget, reach_config
 from mpda.regsets import singleton
 
@@ -73,7 +71,7 @@ class TestSubtransitions:
         # with the fixed stack-1 selection ~A~A~C~C~B~C and stack-2 deletions
         # {1,2}, the marked-pop variants are exactly two
         rule, (a, b, c, d, e) = self.rule_for_fixture()
-        want1 = tuple(MarkedSymbol(s, True) for s in (a, a, c, c, b, c))
+        want1 = tuple(AnnotatedSymbol(s, True) for s in (a, a, c, c, b, c))
         stack2_opts = mk_subwords(rule.push[1], colored=frozenset({1, 2}))
         assert {render(w) for w in stack2_opts} == {"~DD", "~D~D"}
         got = [
@@ -124,7 +122,7 @@ class TestDecideMarked:
         inst = expo(3)
         res = decide_marked(inst.mpda, inst.source, inst.source)
         assert res.reachable and res.steps == ()
-        assert res.origin == unmarked(inst.source)
+        assert res.origin == annotate(inst.source)
 
     def test_unreachable(self):
         inst = expo(3)
@@ -144,7 +142,7 @@ class TestDecideMarked:
             t = random_configuration(rng, m, 3)
             res = decide_marked(m, s, t)
             v = reach_config(m, s, t, OracleBudget(max_config_size=t.size + len(m.states) + 4, max_explored=200_000))
-            if v.status == "unreachable-budget" or v.truncated and not v.reachable:
+            if v.status == "unknown" or v.truncated and not v.reachable:
                 continue
             assert res.reachable == v.reachable, f"{s} -> {t} on {m.rules}"
 
@@ -190,7 +188,7 @@ class TestRegReg:
         L = singleton(m, inst.source)
         res = decide_regreg(m, L, inst.target)
         assert res.reachable
-        assert res.source == inst.source
+        assert res.witness.start == inst.source
         assert replay(m, res.witness) == Configuration("q", ((), ()))
 
     def test_unreachable_up_to_caps(self):
@@ -201,4 +199,4 @@ class TestRegReg:
         K = singleton(m, Configuration("q", ((x1, x1),)))
         res = decide_regreg(m, L, K)
         assert not res.reachable
-        assert res.src_cap > 0 and res.tgt_cap > 0
+        assert res.detail["src_cap"] > 0 and res.detail["tgt_cap"] > 0

@@ -35,7 +35,7 @@ class TestBfs:
     def test_unreachable_complete_under_size_cap(self):
         inst = anbncn()
         v = reach_config(inst.mpda, inst.source, cfg(inst.mpda, "q2", "X", ""), OracleBudget(6))
-        assert v.status == "unreachable-complete"
+        assert v.status == "unreachable"
         assert v.truncated  # the size cap did cut growing configurations
 
     def test_source_already_target(self):
@@ -47,15 +47,7 @@ class TestBfs:
         inst = expo(5)
         tgt = cfg(inst.mpda, "q", "X5")
         v = reach_config(inst.mpda, inst.source, tgt, OracleBudget(max_config_size=40, max_explored=5))
-        assert v.status == "unreachable-budget"
-
-    def test_depth_budget(self):
-        inst = anbncn()
-        v = reach_config(
-            inst.mpda, inst.source, cfg(inst.mpda, "q2", "", ""),
-            OracleBudget(max_config_size=6, max_depth=1),
-        )
-        assert v.status == "unreachable-budget"
+        assert v.status == "unknown" and v.budget == "max-explored"
 
     def test_regset_target(self):
         inst = anbncn()
@@ -71,7 +63,7 @@ class TestBfs:
             t = random_configuration(rng, m, 3)
             v = reach_config(m, s, t, OracleBudget(max_config_size=s.size))
             assert not v.truncated
-            assert v.status in ("reachable", "unreachable-complete")
+            assert v.status in ("reachable", "unreachable")
 
 
 class TestShortestPath:
@@ -86,7 +78,7 @@ class TestShortestPath:
         inst = anbncn()
         got = shortest_path_length(inst.mpda, inst.source, cfg(inst.mpda, "q2", "X", ""), OracleBudget(6))
         assert not isinstance(got, int)
-        assert got.status == "unreachable-complete"
+        assert got.status == "unreachable"
 
 
 class TestFullyActive:

@@ -2,9 +2,9 @@ import itertools
 
 import pytest
 
-from mpda.gadgets import nonreg_forward
+from mpda.gadgets import expo, nonreg_forward
 from mpda.model import Configuration, Mpda, StackSymbol, TransitionRule, replay
-from mpda.regsets import member, singleton, union
+from mpda.regsets import empty_regset, member, singleton, union
 from mpda.separator import (
     SeparatorCertificate,
     backward_fixpoint,
@@ -57,6 +57,16 @@ class TestCheckSeparator:
         failure = check_separator(m, L, K, K)
         assert failure.reason == "not-backward-closed"
         assert failure.example == Configuration("p", ((a,),))
+
+
+    def test_example_beyond_size_four(self):
+        # the only configuration outside M is larger than the small-member search
+        inst = expo(3)
+        m = inst.mpda
+        far = Configuration("q", ((m.symbol("X1"),) * 6,))
+        failure = check_separator(m, singleton(m, inst.source), singleton(m, far), empty_regset(m))
+        assert failure.reason == "misses-target"
+        assert failure.example == far
 
 
 class TestBackwardFixpoint:

@@ -4,21 +4,19 @@ import pytest
 
 from mpda.classify import NotWeak
 from mpda.gadgets import anbncn, expo, nonreg_forward
-from mpda.model import Configuration, Mpda, StackSymbol, TransitionRule, replay
+from mpda.model import AnnotatedConfiguration, Configuration, Mpda, StackSymbol, TransitionRule, annotate, replay
 from mpda.oracle import OracleBudget, reach_config
 from mpda.wqo import (
-    ColoredConfiguration,
-    color_all,
     colored_leq,
     colored_successors,
-    decide_reg_to_one,
     decide_wqo,
+    default_src_cap,
     reach_wqo,
     source_colorings,
 )
-from mpda.regsets import singleton
+from mpda.regsets import enumerate_members, member, singleton
 
-from helpers import random_configuration, random_weak_mpda
+from helpers import random_configuration, random_regset, random_weak_mpda
 
 
 def cc(m, state, *stacks):
@@ -30,7 +28,7 @@ def cc(m, state, *stacks):
             out.append((m.symbol(tok.lstrip("~")), col))
         return tuple(out)
 
-    return ColoredConfiguration(state, tuple(word(w) for w in stacks))
+    return AnnotatedConfiguration(state, tuple(word(w) for w in stacks))
 
 
 @pytest.fixture
@@ -163,7 +161,7 @@ class TestDecide:
             s = random_configuration(rng, m, 3)
             t = random_configuration(rng, m, 3)
             v = reach_config(m, s, t, OracleBudget(max_config_size=s.size))
-            assert v.status in ("reachable", "unreachable-complete")
+            assert v.status in ("reachable", "unreachable")
             assert decide_wqo(m, s, t) == v.reachable, f"{s} -> {t} on {m.rules}"
 
 
@@ -175,7 +173,7 @@ class TestWitness:
             m = random_weak_mpda(rng)
             s = random_configuration(rng, m, 3)
             t = random_configuration(rng, m, 3)
-            w = reach_wqo(m, s, t).witness
+            w = reach_wqo(m, (s,), t).witness
             assert (w is not None) == decide_wqo(m, s, t)
             if w is not None:
                 found += 1
@@ -189,16 +187,41 @@ class TestRegToOne:
         inst = nonreg_forward()
         m = inst.mpda
         L = singleton(m, inst.source)
-        res = decide_reg_to_one(m, L, Configuration("q", ((), ())))
-        assert res.reachable and res.source == inst.source
+        t = Configuration("q", ((), ()))
+        v = reach_wqo(m, enumerate_members(L, default_src_cap(L, t)), t)
+        assert v.reachable and v.witness.start == inst.source
 
     def test_unreachable_reports_cap(self, m):
         L = singleton(m, anbncn().source)
-        res = decide_reg_to_one(m, L, Configuration("q2", ((m.symbol("X"),), ())))
-        assert not res.reachable
-        assert res.source is None and res.src_cap > 0
+        t = Configuration("q2", ((m.symbol("X"),), ()))
+        cap = default_src_cap(L, t)
+        v = reach_wqo(m, enumerate_members(L, cap), t)
+        assert v.status == "unreachable" and v.witness is None
+        assert cap > 0 and v.explored > 0
 
-    def test_color_all_round_trip(self, m):
+    def test_annotate_round_trip(self, m):
         s = Configuration("q1", ((m.symbol("X"),), (m.symbol("C"),)))
-        assert color_all(s).uncolored_count == 2
-        assert color_all(s, colored=True).uncolored_count == 0
+        assert annotate(s).uncolored_count == 2
+        assert annotate(s, colored=True).uncolored_count == 0
+        assert annotate(s).plain == s
+
+    def test_one_search_over_all_sources(self):
+        # one DFS with one embedding index over every member of L answers
+        # like a search from each member, and its witness starts at the
+        # first member (in enumeration order) that reaches t
+        rng = random.Random(21)
+        reached = 0
+        for _ in range(60):
+            m = random_weak_mpda(rng)
+            L = random_regset(rng, m)
+            t = random_configuration(rng, m, 3)
+            v = reach_wqo(m, enumerate_members(L, 2), t)
+            first = next((s for s in enumerate_members(L, 2) if decide_wqo(m, s, t)), None)
+            assert v.reachable == (first is not None), f"{t} on {m.rules}"
+            assert v.status in ("reachable", "unreachable")
+            if v.reachable:
+                reached += 1
+                assert v.witness.start == first
+                assert member(L, v.witness.start)
+                assert replay(m, v.witness) == t, f"{first} -> {t} on {m.rules}"
+        assert reached > 10
