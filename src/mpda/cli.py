@@ -342,61 +342,75 @@ def cmd_shrink(args) -> int:
 
 # --------------------------------------------------------------------- main
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("classify", "reach", "gen", "regset", "pre", "shrink")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `mpda` parser; given a command name, with that command's
+    subparser only (building all six costs about a millisecond)."""
     p = _Parser(prog="mpda", description="multi-pushdown reachability toolkit")
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    c = sub.add_parser("classify", help="check weakness and normedness")
-    c.add_argument("machine")
-    c.set_defaults(fn=cmd_classify)
+    if command in (None, "classify"):
+        c = sub.add_parser("classify", help="check weakness and normedness")
+        c.add_argument("machine")
+        c.set_defaults(fn=cmd_classify)
 
-    r = sub.add_parser("reach", help="decide reachability between endpoints")
-    r.add_argument("machine")
-    r.add_argument("--from", dest="src", required=True, help="configuration literal or @file.regset")
-    r.add_argument("--to", required=True, help="configuration literal or @file.regset")
-    r.add_argument("--method", choices=("oracle", "marked", "wqo", "separator", "auto"), default="auto")
-    r.add_argument("--max-size", type=int, default=None, help="oracle size cap")
-    r.add_argument("--max-explored", type=int, default=100_000)
-    r.add_argument("--src-cap", type=int, default=None)
-    r.add_argument("--tgt-cap", type=int, default=None)
-    r.add_argument("--witness", help="write the witness to this file")
-    r.add_argument("--certificate", help="write a separator certificate to this file")
-    r.set_defaults(fn=cmd_reach)
+    if command in (None, "reach"):
+        r = sub.add_parser("reach", help="decide reachability between endpoints")
+        r.add_argument("machine")
+        r.add_argument("--from", dest="src", required=True, help="configuration literal or @file.regset")
+        r.add_argument("--to", required=True, help="configuration literal or @file.regset")
+        r.add_argument("--method", choices=("oracle", "marked", "wqo", "separator", "auto"), default="auto")
+        r.add_argument("--max-size", type=int, default=None, help="oracle size cap")
+        r.add_argument("--max-explored", type=int, default=100_000)
+        r.add_argument("--src-cap", type=int, default=None)
+        r.add_argument("--tgt-cap", type=int, default=None)
+        r.add_argument("--witness", help="write the witness to this file")
+        r.add_argument("--certificate", help="write a separator certificate to this file")
+        r.set_defaults(fn=cmd_reach)
 
-    g = sub.add_parser("gen", help="generate a benchmark family instance")
-    g.add_argument("family", help="anbncn | expo:N | nonreg-forward | cfg-intersection | comm-free")
-    g.add_argument("--out", required=True)
-    g.add_argument("--grammar1")
-    g.add_argument("--grammar2")
-    g.add_argument("--spec")
-    g.set_defaults(fn=cmd_gen)
+    if command in (None, "gen"):
+        g = sub.add_parser("gen", help="generate a benchmark family instance")
+        g.add_argument("family", help="anbncn | expo:N | nonreg-forward | cfg-intersection | comm-free")
+        g.add_argument("--out", required=True)
+        g.add_argument("--grammar1")
+        g.add_argument("--grammar2")
+        g.add_argument("--spec")
+        g.set_defaults(fn=cmd_gen)
 
-    s = sub.add_parser("regset", help="operations on regular configuration sets")
-    s.add_argument("machine")
-    s.add_argument("op", choices=("member", "union", "intersect", "complement", "is-empty", "is-subset", "enumerate"))
-    s.add_argument("args", nargs="*")
-    s.add_argument("--out")
-    s.add_argument("--budget", type=int, default=regsets.DEFAULT_DET_BUDGET)
-    s.set_defaults(fn=cmd_regset)
+    if command in (None, "regset"):
+        s = sub.add_parser("regset", help="operations on regular configuration sets")
+        s.add_argument("machine")
+        s.add_argument("op", choices=("member", "union", "intersect", "complement", "is-empty", "is-subset", "enumerate"))
+        s.add_argument("args", nargs="*")
+        s.add_argument("--out")
+        s.add_argument("--budget", type=int, default=regsets.DEFAULT_DET_BUDGET)
+        s.set_defaults(fn=cmd_regset)
 
-    pr = sub.add_parser("pre", help="one-step predecessor set")
-    pr.add_argument("machine")
-    pr.add_argument("set")
-    pr.add_argument("--out")
-    pr.set_defaults(fn=cmd_pre)
+    if command in (None, "pre"):
+        pr = sub.add_parser("pre", help="one-step predecessor set")
+        pr.add_argument("machine")
+        pr.add_argument("set")
+        pr.add_argument("--out")
+        pr.set_defaults(fn=cmd_pre)
 
-    sh = sub.add_parser("shrink", help="drop irrelevant source material of a witness")
-    sh.add_argument("machine")
-    sh.add_argument("--witness", required=True)
-    sh.add_argument("--set", required=True, help="regular set the source must stay in")
-    sh.set_defaults(fn=cmd_shrink)
+    if command in (None, "shrink"):
+        sh = sub.add_parser("shrink", help="drop irrelevant source material of a witness")
+        sh.add_argument("machine")
+        sh.add_argument("--witness", required=True)
+        sh.add_argument("--set", required=True, help="regular set the source must stay in")
+        sh.set_defaults(fn=cmd_shrink)
     return p
 
 
 def main(argv: list[str] | None = None) -> int:
     cmd = None
     try:
-        args = build_parser().parse_args(argv)
+        if argv is None:
+            argv = sys.argv[1:]
+        # help and unknown commands get the full parser, for its list of commands
+        args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
         cmd = args.cmd
         return args.fn(args)
     except (CliError, formats.ParseError, MpdaError, cls.NotWeak, cls.NotStronglyNormed,

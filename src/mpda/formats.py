@@ -288,7 +288,14 @@ def parse_witness(text: str, m: Mpda) -> Witness:
 
 def serialize_witness(w: Witness) -> str:
     lines = [serialize_configuration(w.start)]
-    lines.extend(str(r) for r in w.steps)
+    # each distinct rule is rendered once; keyed by identity, since a rule's
+    # own hash runs over its symbols in Python
+    rendered: dict[int, str] = {}
+    for r in w.steps:
+        text = rendered.get(id(r))
+        if text is None:
+            text = rendered[id(r)] = str(r)
+        lines.append(text)
     return "\n".join(lines) + "\n"
 
 

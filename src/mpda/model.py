@@ -117,11 +117,6 @@ class Mpda:
                     if sym.stack != i or sym not in symbols:
                         raise MpdaError(f"rule pushes {sym.name} on wrong stack: {r}")
         object.__setattr__(self, "_symbols_by_name", seen)
-        # (state, top) -> [(declaration index, rule)], in declaration order
-        by_pop: dict[tuple[str, StackSymbol], list[tuple[int, TransitionRule]]] = {}
-        for idx, r in enumerate(self.rules):
-            by_pop.setdefault((r.src, r.pop), []).append((idx, r))
-        object.__setattr__(self, "_rules_by_pop", by_pop)
         object.__setattr__(self, "_variants", {})
 
     @property
@@ -134,6 +129,13 @@ class Mpda:
         except KeyError:
             raise MpdaError(f"unknown symbol {name!r}") from None
 
+    def compiled(self) -> "CompiledMpda":
+        """The machine over integer ids.  Built on first use and kept with
+        the machine."""
+        if "_compiled" not in self.__dict__:
+            object.__setattr__(self, "_compiled", CompiledMpda(self))
+        return self._compiled  # type: ignore[attr-defined]
+
     def variants(self, build: Callable[[TransitionRule, bool, int], tuple], state: str, pop: StackSymbol, bit: bool) -> tuple:
         """`(rule, build(rule, bit, stack_count))` for every rule popping `pop`
         in `state`, in declaration order.  Built on first use and kept with
@@ -141,12 +143,71 @@ class Mpda:
         key = (build, state, pop, bit)
         table = self._variants  # type: ignore[attr-defined]
         if key not in table:
-            rules = self._rules_by_pop.get((state, pop), ())  # type: ignore[attr-defined]
-            table[key] = tuple((r, build(r, bit, self.stack_count)) for _, r in rules)
+            cm = self.compiled()
+            rules = cm.rules[cm.state_id[state]][cm.symbol_id[pop]]
+            table[key] = tuple((cr.rule, build(cr.rule, bit, self.stack_count)) for cr in rules)
         return table[key]
 
     def empty_configuration(self, state: str) -> "Configuration":
         return Configuration(state, tuple(() for _ in range(self.stack_count)))
+
+
+class CompiledRule(NamedTuple):
+    """A rule over ids: its declaration index, the rule itself, its target
+    state, the stack it pops and what it pushes on each stack."""
+
+    index: int
+    rule: TransitionRule
+    dst: int
+    stack: int
+    pushes: tuple[tuple[int, ...], ...]
+
+
+class CompiledMpda:
+    """A machine over integer ids.  States and symbols are numbered in
+    declaration order, and a node `(state id, stacks)` is a configuration
+    whose stacks are tuples of symbol ids, top first."""
+
+    def __init__(self, m: Mpda):
+        self.states = m.states
+        self.symbols = tuple(sym for alpha in m.alphabets for sym in alpha)
+        self.state_id = {q: i for i, q in enumerate(self.states)}
+        self.symbol_id = {sym: i for i, sym in enumerate(self.symbols)}
+        # rules[state id][top symbol id]: the rules popping that top in that state, in declaration order
+        table: list[list[list[CompiledRule]]] = [[[] for _ in self.symbols] for _ in self.states]
+        for idx, r in enumerate(m.rules):
+            pushes = tuple(tuple(self.symbol_id[sym] for sym in w) for w in r.push)
+            table[self.state_id[r.src]][self.symbol_id[r.pop]].append(
+                CompiledRule(idx, r, self.state_id[r.dst], r.pop.stack, pushes))
+        self.rules = [[tuple(cell) for cell in row] for row in table]
+
+    def encode(self, c: Configuration) -> tuple:
+        try:
+            return self.state_id[c.state], tuple(tuple(self.symbol_id[sym] for sym in w) for w in c.stacks)
+        except KeyError as e:
+            raise InputError(f"{e.args[0]} is not declared by the machine") from None
+
+    def decode(self, node: tuple) -> Configuration:
+        state, stacks = node
+        syms = self.symbols
+        return Configuration(self.states[state], tuple(tuple(syms[s] for s in w) for w in stacks))
+
+    def enabled(self, node: tuple) -> bool:
+        row = self.rules[node[0]]
+        return any(row[w[0]] for w in node[1] if w)
+
+    def successors(self, node: tuple) -> list[tuple[TransitionRule, tuple]]:
+        """All enabled rules with their result nodes, in rule declaration order."""
+        state, stacks = node
+        row = self.rules[state]
+        fired = [cr for w in stacks if w for cr in row[w[0]]]
+        fired.sort()  # declaration indices are distinct, so rules are never compared
+        out = []
+        for _, rule, dst, i, pushes in fired:
+            popped = list(stacks)
+            popped[i] = stacks[i][1:]
+            out.append((rule, (dst, tuple(map(operator.add, pushes, popped)))))
+        return out
 
 
 @dataclass(frozen=True)
@@ -235,13 +296,8 @@ def step(m: Mpda, c: Configuration, r: TransitionRule) -> Configuration:
 
 def successors(m: Mpda, c: Configuration) -> list[tuple[TransitionRule, Configuration]]:
     """All enabled rules with their results, in rule declaration order."""
-    by_pop = m._rules_by_pop  # type: ignore[attr-defined]
-    fired: list[tuple[int, TransitionRule]] = []
-    for w in c.stacks:
-        if w:
-            fired += by_pop.get((c.state, w[0]), ())
-    fired.sort()  # declaration indices are distinct, so rules are never compared
-    return [(r, step(m, c, r)) for _, r in fired]
+    cm = m.compiled()
+    return [(r, cm.decode(node)) for r, node in cm.successors(cm.encode(c))]
 
 
 @dataclass(frozen=True)
@@ -334,13 +390,24 @@ def search(roots: Iterable[Hashable], expand: Callable[[Any], Iterable[tuple[Any
 
 
 def replay(m: Mpda, w: Witness) -> Configuration:
-    c = w.start
+    """The end of the witness, or InvalidWitness at the first step that is
+    not enabled.  The stacks are lists with the top at the end."""
+    state = w.start.state
+    stacks = [list(reversed(word)) for word in w.start.stacks]
     for i, r in enumerate(w.steps):
-        try:
-            c = step(m, c, r)
-        except NotEnabled as e:
-            raise InvalidWitness(i, str(e)) from None
-    return c
+        pop = r.pop
+        if state != r.src:
+            raise InvalidWitness(i, f"state {state} != {r.src}")
+        stack = stacks[pop.stack]
+        # identity first: a witness built apart from the machine may carry equal symbols that are other objects
+        if not stack or (stack[-1] is not pop and stack[-1] != pop):
+            raise InvalidWitness(i, f"{pop.name} is not on top of stack {pop.stack + 1}")
+        stack.pop()
+        for pushed_on, word in zip(stacks, r.push):
+            if word:
+                pushed_on += word[::-1]
+        state = r.dst
+    return Configuration(state, tuple(tuple(reversed(stack)) for stack in stacks))
 
 
 def trace(m: Mpda, w: Witness) -> list[Configuration]:

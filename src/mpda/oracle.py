@@ -4,7 +4,6 @@ small instances and as an independent cross-check for the other deciders."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from .model import (
     Configuration,
@@ -17,7 +16,6 @@ from .model import (
     parent_map,
     relevant_occurrences,
     search,
-    successors,
 )
 from .regsets import RegSet, member
 
@@ -32,42 +30,48 @@ class OracleBudget:
     max_explored: int = 100_000
 
 
-def bfs_reach(
-    m: Mpda,
-    source: Configuration,
-    targets: Callable[[Configuration], bool],
-    budget: OracleBudget,
-) -> Verdict:
-    """Breadth-first search from `source`, returning a shortest witness.
+def bfs_reach(m: Mpda, source: Configuration, target: Configuration | RegSet, budget: OracleBudget) -> Verdict:
+    """Breadth-first search from `source` to a configuration or into a
+    regular set, returning a shortest witness.
 
-    Configurations larger than the size cap are generated and tested against
-    the target but never expanded, and `truncated` records whether that
-    shaped the search space.  The search says "unknown" when the
-    exploration cap cut a node, and "unreachable" otherwise."""
+    The search runs on the compiled machine's nodes: a configuration target
+    is encoded once and compared as codes; for a regular-set target each
+    admitted node is decoded for `member`.  Configurations larger than the
+    size cap are generated and tested against the target but never
+    expanded, and `truncated` records whether that shaped the search space.
+    The search says "unknown" when the exploration cap cut a node, and
+    "unreachable" otherwise."""
+    cm = m.compiled()
     truncated = False
 
-    def expand(c: Configuration):
+    def expand(node: tuple):
         nonlocal truncated
-        succ = successors(m, c)
-        if c.size > budget.max_config_size:
-            truncated = truncated or bool(succ)
+        if sum(map(len, node[1])) > budget.max_config_size:
+            truncated = truncated or cm.enabled(node)
             return ()
-        return succ
+        return cm.successors(node)
 
-    res = search((source,), expand, targets, max_nodes=budget.max_explored)
+    if isinstance(target, Configuration):
+        goal = cm.encode(target)
+        is_target = goal.__eq__  # nodes are tuples, so never NotImplemented
+    else:
+        def is_target(node: tuple) -> bool:
+            return member(target, cm.decode(node))
+
+    res = search((cm.encode(source),), expand, is_target, max_nodes=budget.max_explored)
     if res.path:
-        return Verdict("reachable", Witness(res.path[0], res.labels), res.explored, truncated)
+        return Verdict("reachable", Witness(source, res.labels), res.explored, truncated)
     if res.cut:
         return Verdict("unknown", None, res.explored, truncated, budget="max-explored")
     return Verdict("unreachable", None, res.explored, truncated)
 
 
 def reach_config(m: Mpda, source: Configuration, target: Configuration, budget: OracleBudget) -> Verdict:
-    return bfs_reach(m, source, lambda c: c == target, budget)
+    return bfs_reach(m, source, target, budget)
 
 
 def reach_regset(m: Mpda, source: Configuration, K: RegSet, budget: OracleBudget) -> Verdict:
-    return bfs_reach(m, source, lambda c: member(K, c), budget)
+    return bfs_reach(m, source, K, budget)
 
 
 def shortest_path_length(

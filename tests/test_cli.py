@@ -243,6 +243,28 @@ class TestExitCodes:
         assert ei.value.code == 0
         assert "--max-explored" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag", ["--help", "-h"])
+    def test_top_level_help_names_every_command(self, capsys, flag):
+        with pytest.raises(SystemExit) as ei:
+            main([flag])
+        assert ei.value.code == 0
+        out = capsys.readouterr().out
+        for cmd in ("classify", "reach", "gen", "regset", "pre", "shrink"):
+            assert cmd in out
+
+    def test_unknown_command_names_the_choices(self, capsys):
+        code, record, _ = run(capsys, "frobnicate")
+        assert code == 3 and "invalid choice: 'frobnicate'" in record["error"]
+        for cmd in ("classify", "reach", "gen", "regset", "pre", "shrink"):
+            assert f"'{cmd}'" in record["error"]
+
+    @pytest.mark.parametrize("cmd", ["classify", "reach", "gen", "regset", "pre", "shrink"])
+    def test_each_command_help_exits_0(self, capsys, cmd):
+        with pytest.raises(SystemExit) as ei:
+            main([cmd, "--help"])
+        assert ei.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: mpda {cmd} ")
+
     def test_unwritable_output_is_an_input_error(self, workdir, capsys):
         code, record, _ = run(
             capsys, "reach", str(workdir / "machine.mpda"),

@@ -1,8 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from mpda.model import (
     Configuration,
+    InputError,
     InvalidWitness,
     Mpda,
     MpdaError,
@@ -22,7 +25,10 @@ from mpda.model import (
     successors,
     trace,
 )
+from mpda.formats import parse_witness, serialize_witness
 from mpda.gadgets import anbncn
+
+from helpers import random_configuration, random_walk, random_weak_mpda
 
 
 @pytest.fixture
@@ -78,6 +84,44 @@ class TestReplay:
         assert ei.value.index == 1
 
 
+class TestReplayOnLists:
+    """`replay` keeps its own stacks; `step` and `trace` are the reference."""
+
+    @pytest.mark.parametrize("steps, index, reason", [
+        ((1, 3, 1), 2, "state q2 != q1"),  # X popped at q2
+        ((1, 1), 1, "X is not on top of stack 1"),  # D is on top
+        ((1, 3, 4), 2, "C is not on top of stack 2"),  # stack 2 is empty
+    ])
+    def test_broken_step_reports_index_and_reason(self, ab, steps, index, reason):
+        m = ab.mpda
+        w = Witness(cfg(m, "q1", "X D", ""), tuple(m.rules[i] for i in steps))
+        with pytest.raises(InvalidWitness) as ei:
+            replay(m, w)
+        assert ei.value.index == index
+        assert str(ei.value) == f"witness step {index} is not enabled: {reason}"
+        before = replay(m, Witness(w.start, w.steps[:index]))
+        with pytest.raises(NotEnabled, match=f"^{reason}$"):
+            step(m, before, w.steps[index])
+
+    def test_symbols_equal_but_not_identical(self, ab):
+        m = ab.mpda
+        start = Configuration("q1", ((StackSymbol("X", 0), StackSymbol("D", 0)), ()))
+        assert start.stacks[0][0] is not m.symbol("X")
+        w = Witness(start, (m.rules[0], m.rules[1], m.rules[2], m.rules[3], m.rules[4]))
+        assert replay(m, w) == cfg(m, "q2", "", "")
+
+    def test_matches_trace_and_survives_the_text_format(self):
+        rng = random.Random(11)
+        for _ in range(150):
+            m = random_weak_mpda(rng, stacks=rng.choice((1, 2, 3)), max_rules=8)
+            w = random_walk(rng, m, random_configuration(rng, m, 4), rng.randint(0, 12))
+            end = replay(m, w)
+            assert end == trace(m, w)[-1]
+            parsed = parse_witness(serialize_witness(w), m)
+            assert parsed == w
+            assert replay(m, parsed) == end
+
+
 class TestValidation:
     def test_symbol_on_two_stacks_rejected(self):
         a1 = StackSymbol("A", 0)
@@ -95,6 +139,12 @@ class TestValidation:
     def test_no_symbols_rejected(self):
         with pytest.raises(MpdaError):
             Mpda(("q",), ((), ()), ())
+
+    def test_configuration_off_the_machine_rejected(self, ab):
+        m = ab.mpda
+        for c in (Configuration("q9", ((), ())), Configuration("q1", ((StackSymbol("Z", 0),), ()))):
+            with pytest.raises(InputError, match="is not declared by the machine"):
+                successors(m, c)
 
 
 class TestDescendantForest:

@@ -1,9 +1,10 @@
 import random
+from collections import deque
 
 import pytest
 
-from mpda.gadgets import anbncn, expo, nonreg_forward
-from mpda.model import Configuration, Witness, replay
+from mpda.gadgets import anbncn, comm_free_counters, expo, nonreg_forward
+from mpda.model import Configuration, NotEnabled, Witness, replay, step
 from mpda.oracle import (
     OracleBudget,
     SourceNotInL,
@@ -64,6 +65,105 @@ class TestBfs:
             v = reach_config(m, s, t, OracleBudget(max_config_size=s.size))
             assert not v.truncated
             assert v.status in ("reachable", "unreachable")
+
+
+def reference_bfs(m, source, is_target, budget):
+    """The oracle's search over objects, for comparison: `step` fired for
+    every rule in declaration order, a node tested when admitted, nodes
+    above the size cap never expanded.  Returns (status, steps, explored,
+    truncated)."""
+    parent = {}
+    truncated = False
+
+    def path(c):
+        steps = []
+        while parent[c] is not None:
+            c, rule = parent[c]
+            steps.append(rule)
+        return tuple(reversed(steps))
+
+    if budget.max_explored < 1:
+        return "unknown", None, 0, False
+    parent[source] = None
+    if is_target(source):
+        return "reachable", (), 1, False
+    frontier = deque([source])
+    while frontier:
+        c = frontier.popleft()
+        children = []
+        for rule in m.rules:
+            try:
+                children.append((rule, step(m, c, rule)))
+            except NotEnabled:
+                pass
+        if c.size > budget.max_config_size:
+            truncated = truncated or bool(children)
+            continue
+        for rule, child in children:
+            if child in parent:
+                continue
+            if len(parent) >= budget.max_explored:
+                return "unknown", None, len(parent), truncated
+            parent[child] = (c, rule)
+            if is_target(child):
+                return "reachable", path(child), len(parent), truncated
+            frontier.append(child)
+    return "unreachable", None, len(parent), truncated
+
+
+def counter_ring(rng, k):
+    """k counters: a ring that moves one token to the next counter, one
+    random chord, and one rule that turns a token of the last counter into
+    two of the first."""
+    rules = [(i + 1, tuple(1 if j == (i + 1) % k else 0 for j in range(k))) for i in range(k)]
+    i, j = rng.sample(range(k), 2)
+    rules.append((i + 1, tuple(1 if x == j else 0 for x in range(k))))
+    rules.append((k, tuple(2 if x == 0 else 0 for x in range(k))))
+    return comm_free_counters(tuple(rules), (0,) * k, (0,) * k).mpda
+
+
+class TestEquivalence:
+    """`bfs_reach` runs on the compiled machine; it must answer exactly as
+    the object-level reference search above."""
+
+    @staticmethod
+    def same(m, source, target, budget):
+        if isinstance(target, Configuration):
+            want = reference_bfs(m, source, lambda c: c == target, budget)
+        else:
+            want = reference_bfs(m, source, lambda c: member(target, c), budget)
+        v = bfs_reach(m, source, target, budget)
+        got = (v.status, v.witness.steps if v.witness else None, v.explored, v.truncated)
+        assert got == want, (m, source, target, budget)
+        if v.witness:
+            assert v.witness.start == source
+        return v.status
+
+    def test_random_weak_machines(self):
+        rng = random.Random(2026)
+        statuses = set()
+        for n in range(240):
+            m = random_weak_mpda(rng, max_states=2, stacks=rng.choice((1, 2, 3)), max_rules=rng.randint(3, 10))
+            s = random_configuration(rng, m, 5)
+            budget = OracleBudget(max_config_size=s.size + rng.randint(-1, 4),
+                                  max_explored=rng.choice((0, 1, 5, 30, 100_000, 100_000, 100_000)))
+            if n % 4 == 3:
+                target = random_regset(rng, m)
+            elif n % 4 == 2:
+                target = replay(m, random_walk(rng, m, s, rng.randint(0, 5)))
+            else:
+                target = random_configuration(rng, m, 4)
+            statuses.add(self.same(m, s, target, budget))
+        assert statuses == {"reachable", "unreachable", "unknown"}
+
+    def test_counter_rings(self):
+        rng = random.Random(7)
+        for k in (3, 4, 4):
+            m = counter_ring(rng, k)
+            s = random_configuration(rng, m, 5)
+            for target in (replay(m, random_walk(rng, m, s, 6)), random_configuration(rng, m, 6)):
+                for budget in (OracleBudget(s.size + 1), OracleBudget(s.size + 2, max_explored=40)):
+                    self.same(m, s, target, budget)
 
 
 class TestShortestPath:
