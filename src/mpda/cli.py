@@ -163,8 +163,11 @@ def _decide(args, m: Mpda, method: str, src, tgt) -> Verdict:
             raise CliError("--method wqo needs a single target configuration")
         if isinstance(src, Configuration):
             return wqo.reach_wqo(m, (src,), tgt, max_nodes=args.max_explored)
-        cap = args.src_cap if args.src_cap is not None else wqo.default_src_cap(src, tgt)
+        needed = wqo.default_src_cap(src, tgt)
+        cap = args.src_cap if args.src_cap is not None else needed
         verdict = wqo.reach_wqo(m, regsets.enumerate_members(src, cap), tgt, max_nodes=args.max_explored)
+        if verdict.complete and cap < needed:  # a source beyond the cap may reach tgt
+            verdict = replace(verdict, status="unknown", budget="src-cap")
         return replace(verdict, detail={"src_cap": cap})
     if method == "separator":
         return separator.decide_separator(m, _as_set(m, src), _as_set(m, tgt))

@@ -268,7 +268,8 @@ def parse_witness(text: str, m: Mpda) -> Witness:
     """A witness file: a configuration literal, then one declared rule per line."""
     start: Configuration | None = None
     steps: list[TransitionRule] = []
-    declared = set(m.rules)
+    # the machine's own rule objects by the tokens of a line; each other line is parsed once
+    by_tokens = {tuple(str(r).split()): r for r in m.rules}
     sym_by_name = {s.name: s for alpha in m.alphabets for s in alpha}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).strip()
@@ -277,9 +278,13 @@ def parse_witness(text: str, m: Mpda) -> Witness:
         if start is None:
             start = parse_configuration(line, m, lineno)
             continue
-        rule = _parse_rule_tokens(line.split(), lineno, m.stack_count, sym_by_name)
-        if rule not in declared:
-            raise ParseError(lineno, f"rule not declared by the machine: {rule}")
+        rule = by_tokens.get(toks := tuple(line.split()))
+        if rule is None:
+            parsed = _parse_rule_tokens(list(toks), lineno, m.stack_count, sym_by_name)
+            rule = next((r for r in m.rules if r == parsed), None)
+            if rule is None:
+                raise ParseError(lineno, f"rule not declared by the machine: {parsed}")
+            by_tokens[toks] = rule
         steps.append(rule)
     if start is None:
         raise ParseError(1, "empty witness file")

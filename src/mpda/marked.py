@@ -15,10 +15,10 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 
-from .classify import CancelTable, cancel_table, require_weak
+from .classify import cancel_table, require_weak
 from .model import (
-    AnnotatedConfiguration,
     AnnotatedSymbol,
+    CompiledMpda,
     Configuration,
     Mpda,
     TransitionRule,
@@ -26,6 +26,7 @@ from .model import (
     Witness,
     Word,
     annotate,
+    annotated_machine,
     replay,
     search,
 )
@@ -45,11 +46,6 @@ class MarkedSubtransition:
     origin: TransitionRule
     lhs_marked: bool
     pushes: tuple[MWord, ...]
-
-    def __str__(self) -> str:
-        lhs = ("~" if self.lhs_marked else "") + self.origin.pop.name
-        parts = " | ".join(" ".join(map(str, w)) for w in self.pushes)
-        return f"rule {self.origin.src} {lhs} -> {self.origin.dst} : {parts}"
 
 
 def mk_subwords(word: Word, colored: frozenset[int] | None = None) -> set[MWord]:
@@ -93,12 +89,15 @@ def subtransitions_for(rule: TransitionRule, lhs_marked: bool, stack_count: int)
     return tuple(out)
 
 
-def mk_subtransitions(m: Mpda) -> tuple[MarkedSubtransition, ...]:
-    out = []
-    for rule in m.rules:
-        for lhs_marked in (False, True):
-            out.extend(subtransitions_for(rule, lhs_marked, m.stack_count))
-    return tuple(out)
+def marked_machine(m: Mpda) -> CompiledMpda:
+    """The marked abstraction of m: a rule popping an entry with mark b
+    fires as each of its `subtransitions_for(rule, b)`, labeled with that
+    subtransition.  Raises NotWeak or NotStronglyNormed for machines the
+    abstraction is not complete for."""
+    require_weak(m)
+    cancel_table(m)  # raises NotStronglyNormed
+    k = m.stack_count
+    return annotated_machine(m, lambda rule, bit: ((st, st.pushes) for st in subtransitions_for(rule, bit, k)))
 
 
 def marked_subconfigurations(c: Configuration, max_size: int):
@@ -106,54 +105,32 @@ def marked_subconfigurations(c: Configuration, max_size: int):
     per_stack = [sorted(mk_subwords(w)) for w in c.stacks]
     for combo in itertools.product(*per_stack):
         if sum(len(w) for w in combo) <= max_size:
-            yield AnnotatedConfiguration(c.state, tuple(combo))
+            yield Configuration(c.state, tuple(combo))
 
 
 @dataclass(frozen=True)
 class MarkedSearchResult:
     reachable: bool
-    origin: AnnotatedConfiguration | None = None
+    origin: Configuration | None = None  # of AnnotatedSymbol entries
     steps: tuple[MarkedSubtransition, ...] = ()
     size_bound: int = 0
 
-    def marked_trace(self) -> list[AnnotatedConfiguration]:
-        assert self.origin is not None
-        out = [self.origin]
-        for st in self.steps:
-            out.append(out[-1].apply(st.origin, st.pushes))
-        return out
 
-
-def decide_marked(
-    m: Mpda,
-    s: Configuration,
-    t: Configuration,
-    check_preconditions: bool = True,
-) -> MarkedSearchResult:
+def decide_marked(m: Mpda, s: Configuration, t: Configuration) -> MarkedSearchResult:
     """Exact reachability s -->* t for a strongly normed weak machine.
 
-    Breadth-first search over marked configurations of size at most
-    size(t) + |states|, seeded with every marked subconfiguration of s."""
-    if check_preconditions:
-        require_weak(m)
-        cancel_table(m)  # raises NotStronglyNormed
+    Breadth-first search over the nodes of `marked_machine(m)` of size at
+    most size(t) + |states|, seeded with every marked subconfiguration of s."""
+    cm = m.compiled(marked_machine)
     bound = t.size + len(m.states)
-    target = annotate(t)
 
-    def expand(cur: AnnotatedConfiguration):
-        for w in cur.stacks:
-            if w:
-                top = w[0]
-                for rule, variants in m.variants(subtransitions_for, cur.state, top.base, top.marked):
-                    for st in variants:
-                        nxt = cur.apply(rule, st.pushes)
-                        if nxt.size <= bound:
-                            yield st, nxt
+    def expand(node: tuple):
+        return ((st, nxt) for st, nxt in cm.successors(node) if sum(map(len, nxt[1])) <= bound)
 
-    res = search(marked_subconfigurations(s, bound), expand, lambda c: c == target)
+    res = search(map(cm.encode, marked_subconfigurations(s, bound)), expand, cm.encode(annotate(t)).__eq__)
     if res.path is None:
         return MarkedSearchResult(False, size_bound=bound)
-    return MarkedSearchResult(True, res.path[0], res.labels, bound)
+    return MarkedSearchResult(True, cm.decode(res.path[0]), res.labels, bound)
 
 
 # ------------------------------------------------------------ reconstruction
@@ -166,44 +143,43 @@ def _coloring_for(word: Word, target: MWord) -> frozenset[int]:
     raise ReconstructionFailed(f"{target} is not a marked subword of {word}")
 
 
-def reconstruct(
-    m: Mpda,
-    s: Configuration,
-    result: MarkedSearchResult,
-    cancel: CancelTable | None = None,
-) -> Witness:
+def reconstruct(m: Mpda, s: Configuration, result: MarkedSearchResult) -> Witness:
     """Expand a marked path from s into a concrete witness.
 
     Deleted symbols are kept as colored occurrences of the running concrete
-    configuration and erased with canceling sequences whenever they surface."""
+    configuration and erased with canceling sequences whenever they surface.
+    The stacks are lists of entries with the top at the end."""
     if not result.reachable or result.origin is None:
         raise ReconstructionFailed("no marked path to expand")
-    if cancel is None:
-        cancel = cancel_table(m)
+    cancel = cancel_table(m)
 
     def colored(words: tuple[Word, ...], marked: tuple[MWord, ...]) -> tuple[MWord, ...]:
         """`words` with the positions that their marked subwords delete colored."""
         deleted = map(_coloring_for, words, marked)
         return tuple(tuple(AnnotatedSymbol(sym, p in d) for p, sym in enumerate(w)) for w, d in zip(words, deleted))
 
-    cur = AnnotatedConfiguration(s.state, colored(s.stacks, result.origin.stacks))
+    state = s.state
+    stacks = [list(reversed(w)) for w in colored(s.stacks, result.origin.stacks)]
     fired: list[TransitionRule] = []
 
     def run_rule(rule: TransitionRule, pushes: tuple[MWord, ...]) -> None:
-        nonlocal cur
-        top = cur.stacks[rule.pop.stack]
-        if cur.state != rule.src or not top or top[0].base != rule.pop:
+        nonlocal state
+        stack = stacks[rule.pop.stack]
+        if state != rule.src or not stack or stack[-1].base != rule.pop:
             raise ReconstructionFailed(f"rule not enabled while expanding: {rule}")
-        cur = cur.apply(rule, pushes)
+        stack.pop()
+        for pushed_on, word in zip(stacks, pushes):
+            pushed_on += reversed(word)
+        state = rule.dst
         fired.append(rule)
 
     # each round erases one colored top or fires one marked step, so it ends
     queue = deque(result.steps)
     while True:
-        colored_top = next((w[0].base for w in cur.stacks if w and w[0].marked), None)
+        colored_top = next((w[-1].base for w in stacks if w and w[-1].marked), None)
         if colored_top is not None:
             # the canceling sequence erases the top and all it spawns, in place
-            erase = cancel[(cur.state, colored_top)]
+            erase = cancel[(state, colored_top)]
             run_rule(erase[0], ((),) * m.stack_count)
             fired.extend(erase[1:])
             continue
@@ -212,9 +188,9 @@ def reconstruct(
         st = queue.popleft()
         run_rule(st.origin, colored(st.origin.push, st.pushes))
 
-    if cur.uncolored_count != cur.size:
+    if any(e.marked for w in stacks for e in w):
         raise ReconstructionFailed("colored material left buried at the end")
-    end = cur.plain
+    end = Configuration(state, tuple(tuple(e.base for e in reversed(w)) for w in stacks))
     witness = Witness(s, tuple(fired))
     if replay(m, witness) != end:
         raise ReconstructionFailed("expanded witness does not replay")
@@ -244,18 +220,24 @@ def decide_regreg(
     tgt_cap: int | None = None,
 ) -> Verdict:
     """Reachability between two regular sets for strongly normed weak
-    machines, by trying endpoint pairs up to size caps; "unreachable" holds
-    for the endpoints within the caps, which `detail` reports."""
-    require_weak(m)
-    cancel = cancel_table(m)
+    machines, by trying endpoint pairs up to size caps, which `detail`
+    reports.  "unreachable" holds when the caps are at least the default
+    ones (`default_tgt_cap(K)`, and `default_src_cap(L, t)` for each target
+    t); a cap below its default gives "unknown" with the budget "tgt-cap" or
+    "src-cap" instead."""
+    m.compiled(marked_machine)  # raises NotWeak or NotStronglyNormed before any pair is tried
     tcap = tgt_cap if tgt_cap is not None else default_tgt_cap(K)
     used_scap = 0
+    src_cut = False
     for t in enumerate_members(K, tcap):
-        scap = src_cap if src_cap is not None else default_src_cap(L, t)
+        needed = default_src_cap(L, t)
+        scap = src_cap if src_cap is not None else needed
         used_scap = max(used_scap, scap)
+        src_cut = src_cut or scap < needed
         for s in enumerate_members(L, scap):
-            res = decide_marked(m, s, t, check_preconditions=False)
+            res = decide_marked(m, s, t)
             if res.reachable:
-                witness = reconstruct(m, s, res, cancel)
+                witness = reconstruct(m, s, res)
                 return Verdict("reachable", witness, detail={"src_cap": scap, "tgt_cap": tcap})
-    return Verdict("unreachable", detail={"src_cap": used_scap, "tgt_cap": tcap})
+    budget = "tgt-cap" if tcap < default_tgt_cap(K) else "src-cap" if src_cut else None
+    return Verdict("unknown" if budget else "unreachable", budget=budget, detail={"src_cap": used_scap, "tgt_cap": tcap})

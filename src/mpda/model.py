@@ -117,7 +117,7 @@ class Mpda:
                     if sym.stack != i or sym not in symbols:
                         raise MpdaError(f"rule pushes {sym.name} on wrong stack: {r}")
         object.__setattr__(self, "_symbols_by_name", seen)
-        object.__setattr__(self, "_variants", {})
+        object.__setattr__(self, "_compiled", {})
 
     @property
     def stack_count(self) -> int:
@@ -129,57 +129,36 @@ class Mpda:
         except KeyError:
             raise MpdaError(f"unknown symbol {name!r}") from None
 
-    def compiled(self) -> "CompiledMpda":
-        """The machine over integer ids.  Built on first use and kept with
-        the machine."""
-        if "_compiled" not in self.__dict__:
-            object.__setattr__(self, "_compiled", CompiledMpda(self))
-        return self._compiled  # type: ignore[attr-defined]
-
-    def variants(self, build: Callable[[TransitionRule, bool, int], tuple], state: str, pop: StackSymbol, bit: bool) -> tuple:
-        """`(rule, build(rule, bit, stack_count))` for every rule popping `pop`
-        in `state`, in declaration order.  Built on first use and kept with
-        the machine, so repeated searches on one machine share it."""
-        key = (build, state, pop, bit)
-        table = self._variants  # type: ignore[attr-defined]
-        if key not in table:
-            cm = self.compiled()
-            rules = cm.rules[cm.state_id[state]][cm.symbol_id[pop]]
-            table[key] = tuple((cr.rule, build(cr.rule, bit, self.stack_count)) for cr in rules)
-        return table[key]
+    def compiled(self, abstraction: Callable[["Mpda"], "CompiledMpda"] | None = None) -> "CompiledMpda":
+        """The machine over integer ids, or `abstraction(self)` when given.
+        Built on first use and kept with the machine, so repeated searches on
+        one machine share it."""
+        table = self._compiled  # type: ignore[attr-defined]
+        if abstraction not in table:
+            table[abstraction] = _own_form(self) if abstraction is None else abstraction(self)
+        return table[abstraction]
 
     def empty_configuration(self, state: str) -> "Configuration":
         return Configuration(state, tuple(() for _ in range(self.stack_count)))
 
 
-class CompiledRule(NamedTuple):
-    """A rule over ids: its declaration index, the rule itself, its target
-    state, the stack it pops and what it pushes on each stack."""
-
-    index: int
-    rule: TransitionRule
-    dst: int
-    stack: int
-    pushes: tuple[tuple[int, ...], ...]
-
-
 class CompiledMpda:
-    """A machine over integer ids.  States and symbols are numbered in
-    declaration order, and a node `(state id, stacks)` is a configuration
-    whose stacks are tuples of symbol ids, top first."""
+    """A machine over integer ids.  States and symbols are numbered in the
+    order given, and a node `(state id, stacks)` is a configuration whose
+    stacks are tuples of symbol ids, top first.
 
-    def __init__(self, m: Mpda):
-        self.states = m.states
-        self.symbols = tuple(sym for alpha in m.alphabets for sym in alpha)
+    `variants(state, top)` yields `(order, label, dst, push)` for each way a
+    node in `state` with `top` on one of its stacks steps: pop that top, go
+    to `dst` and push the word `push[i]` on stack i.  It runs once per pair,
+    on first use."""
+
+    def __init__(self, states: Iterable[str], symbols: Iterable[Any], variants: Callable[[int, int], Iterable[tuple]]):
+        self.states = tuple(states)
+        self.symbols = tuple(symbols)
         self.state_id = {q: i for i, q in enumerate(self.states)}
         self.symbol_id = {sym: i for i, sym in enumerate(self.symbols)}
-        # rules[state id][top symbol id]: the rules popping that top in that state, in declaration order
-        table: list[list[list[CompiledRule]]] = [[[] for _ in self.symbols] for _ in self.states]
-        for idx, r in enumerate(m.rules):
-            pushes = tuple(tuple(self.symbol_id[sym] for sym in w) for w in r.push)
-            table[self.state_id[r.src]][self.symbol_id[r.pop]].append(
-                CompiledRule(idx, r, self.state_id[r.dst], r.pop.stack, pushes))
-        self.rules = [[tuple(cell) for cell in row] for row in table]
+        self._variants = variants
+        self.rows = [_Row(self, q) for q in range(len(self.states))]
 
     def encode(self, c: Configuration) -> tuple:
         try:
@@ -193,21 +172,68 @@ class CompiledMpda:
         return Configuration(self.states[state], tuple(tuple(syms[s] for s in w) for w in stacks))
 
     def enabled(self, node: tuple) -> bool:
-        row = self.rules[node[0]]
+        row = self.rows[node[0]]
         return any(row[w[0]] for w in node[1] if w)
 
-    def successors(self, node: tuple) -> list[tuple[TransitionRule, tuple]]:
-        """All enabled rules with their result nodes, in rule declaration order."""
+    def successors(self, node: tuple) -> list[tuple[Any, tuple]]:
+        """The label and result node of every variant that fires at `node`,
+        by `order`."""
         state, stacks = node
-        row = self.rules[state]
-        fired = [cr for w in stacks if w for cr in row[w[0]]]
-        fired.sort()  # declaration indices are distinct, so rules are never compared
+        row = self.rows[state]
+        fired = [v for w in stacks if w for v in row[w[0]]]
+        fired.sort()  # orders are distinct, so labels are never compared
         out = []
-        for _, rule, dst, i, pushes in fired:
+        for _, label, dst, i, push in fired:
             popped = list(stacks)
             popped[i] = stacks[i][1:]
-            out.append((rule, (dst, tuple(map(operator.add, pushes, popped)))))
+            out.append((label, (dst, tuple(map(operator.add, push, popped)))))
         return out
+
+
+class _Row(dict):
+    """The cells of one state of a compiled machine: top symbol id -> the
+    variants that pop it, each with the stack it pops, built on first use."""
+
+    def __init__(self, cm: CompiledMpda, state: int):
+        self.cm = cm
+        self.state = state
+
+    def __missing__(self, top: int) -> tuple:
+        stack = self.cm.symbols[top].stack
+        cell = self[top] = tuple([(order, label, dst, stack, push) for order, label, dst, push in self.cm._variants(self.state, top)])
+        return cell
+
+
+def _own_form(m: Mpda) -> CompiledMpda:
+    """m over integer ids: a variant is a rule, its order the declaration
+    index."""
+    symbols = tuple(sym for alpha in m.alphabets for sym in alpha)
+    # by name: names are unique in a machine, and a str hashes faster than a symbol
+    code = {sym.name: i for i, sym in enumerate(symbols)}
+    state_id = {q: i for i, q in enumerate(m.states)}
+    by_pop: dict[tuple[int, int], list[tuple]] = {}
+    for idx, r in enumerate(m.rules):
+        by_pop.setdefault((state_id[r.src], code[r.pop.name]), []).append(
+            (idx, r, state_id[r.dst], tuple([tuple([code[sym.name] for sym in w]) for w in r.push])))
+    return CompiledMpda(m.states, symbols, lambda state, top: by_pop.get((state, top), ()))
+
+
+def annotated_machine(m: Mpda, variants_of: Callable[[TransitionRule, bool], Iterable[tuple[Any, tuple]]]) -> CompiledMpda:
+    """An abstraction of m whose stack entries carry one bit: symbol 2i + b
+    is `AnnotatedSymbol(symbol i of m, b)`.  The variants of a rule popping
+    an entry with bit b are the `(label, pushes)` pairs of
+    `variants_of(rule, b)`, where `pushes` holds `(symbol, bit)` entries.
+    Their order is (stack, declaration index, variant index): successors go
+    stack by stack, rules in declaration order."""
+    own = m.compiled()
+    code = {sym.name: i for i, sym in enumerate(own.symbols)}
+
+    def annotated_variants(state: int, top: int) -> Iterator[tuple]:
+        for idx, rule, dst, stack, _ in own.rows[state][top >> 1]:
+            for v, (label, pushes) in enumerate(variants_of(rule, bool(top & 1))):
+                yield (stack, idx, v), label, dst, tuple([tuple([2 * code[sym.name] + bit for sym, bit in w]) for w in pushes])
+
+    return CompiledMpda(m.states, (AnnotatedSymbol(sym, bit) for sym in own.symbols for bit in (False, True)), annotated_variants)
 
 
 @dataclass(frozen=True)
@@ -221,14 +247,8 @@ class Configuration:
     def size(self) -> int:
         return sum(len(w) for w in self.stacks)
 
-    def apply(self, rule: TransitionRule, pushes: tuple[tuple, ...]):
-        """`rule` fired on the top of its stack, with `pushes` pushed on the stacks."""
-        stacks = list(self.stacks)
-        stacks[rule.pop.stack] = stacks[rule.pop.stack][1:]
-        return type(self)(rule.dst, tuple(map(operator.add, pushes, stacks)))
-
     def __str__(self) -> str:
-        return f"{self.state} : " + " | ".join(" ".join(s.name for s in w) for w in self.stacks)
+        return f"{self.state} : " + " | ".join(" ".join(map(str, w)) for w in self.stacks)
 
 
 class AnnotatedSymbol(NamedTuple):
@@ -238,34 +258,17 @@ class AnnotatedSymbol(NamedTuple):
     base: StackSymbol
     marked: bool
 
+    @property
+    def stack(self) -> int:
+        return self.base.stack
+
     def __str__(self) -> str:
         return ("~" if self.marked else "") + self.base.name
 
 
-@dataclass(frozen=True)
-class AnnotatedConfiguration(Configuration):
-    """A configuration of `(symbol, bit)` entries; `~X` renders a set bit."""
-
-    @property
-    def uncolored_count(self) -> int:
-        return sum(1 for w in self.stacks for _, bit in w if not bit)
-
-    @property
-    def uncolored_projection(self) -> tuple:
-        """The state and the entries without the bit, per stack."""
-        return self.state, tuple(tuple(sym for sym, bit in w if not bit) for w in self.stacks)
-
-    @property
-    def plain(self) -> Configuration:
-        return Configuration(self.state, tuple(tuple(sym for sym, _ in w) for w in self.stacks))
-
-    def __str__(self) -> str:
-        return f"{self.state} : " + " | ".join(" ".join(("~" if bit else "") + sym.name for sym, bit in w) for w in self.stacks)
-
-
-def annotate(c: Configuration, colored: bool = False) -> AnnotatedConfiguration:
+def annotate(c: Configuration, colored: bool = False) -> Configuration:
     """c with the same bit on every entry."""
-    return AnnotatedConfiguration(c.state, tuple(tuple(AnnotatedSymbol(s, colored) for s in w) for w in c.stacks))
+    return Configuration(c.state, tuple(tuple(AnnotatedSymbol(s, colored) for s in w) for w in c.stacks))
 
 
 @dataclass(frozen=True)
@@ -291,7 +294,9 @@ def step(m: Mpda, c: Configuration, r: TransitionRule) -> Configuration:
     i = r.pop.stack
     if not c.stacks[i] or c.stacks[i][0] != r.pop:
         raise NotEnabled(f"{r.pop.name} is not on top of stack {i + 1}")
-    return c.apply(r, r.push)
+    stacks = list(c.stacks)
+    stacks[i] = stacks[i][1:]
+    return Configuration(r.dst, tuple(map(operator.add, r.push, stacks)))
 
 
 def successors(m: Mpda, c: Configuration) -> list[tuple[TransitionRule, Configuration]]:

@@ -14,42 +14,21 @@ from typing import Iterable
 
 from .classify import require_weak
 from .model import (
-    AnnotatedConfiguration,
+    CompiledMpda,
     Configuration,
     Mpda,
     TransitionRule,
     Verdict,
     Witness,
     annotate,
+    annotated_machine,
     search,
-    successors,
 )
 
 
-def colored_leq(a: AnnotatedConfiguration, b: AnnotatedConfiguration) -> bool:
-    """a is b with some colored occurrences removed.  Greedy per-stack check:
-    skipped positions of b must be colored, matched positions must agree on
-    both symbol and color.  So a and b share their `uncolored_projection`."""
-    if a.state != b.state:
-        return False
-    for wa, wb in zip(a.stacks, b.stacks):
-        i = 0
-        for entry in wb:
-            if i < len(wa) and entry == wa[i]:
-                i += 1
-            elif not entry[1]:
-                return False
-        if i < len(wa):
-            return False
-    return True
-
-
-def colored_successors(
-    m: Mpda,
-    r: AnnotatedConfiguration,
-    uncolored_limit: int | None = None,
-) -> list[AnnotatedConfiguration]:
-    """One colored step.
+def colored_machine(m: Mpda) -> CompiledMpda:
+    """The colored abstraction of m: each rule fires with every coloring of
+    its pushes that `_push_colorings` allows, labeled with the rule.
 
     Popping a colored occurrence pushes everything colored and is only
     allowed for state-preserving rules: the occurrence consumed by a
@@ -58,66 +37,87 @@ def colored_successors(
     pushed symbols, except that a state-preserving rule must leave at least
     one push uncolored; in particular a state-preserving rule that pushes
     nothing has no uncolored-pop variant."""
-    out = []
-    uncolored = r.uncolored_count
-    for w in r.stacks:
-        if not w:
-            continue
-        top_sym, top_col = w[0]
-        left = uncolored if top_col else uncolored - 1
-        for rule, variants in m.variants(_push_colorings, r.state, top_sym, top_col):
-            for pushes, pushed_uncolored in variants:
-                if uncolored_limit is None or left + pushed_uncolored < uncolored_limit:
-                    out.append(r.apply(rule, pushes))
-    return out
+    k = m.stack_count
+    return annotated_machine(m, lambda rule, bit: ((rule, pushes) for pushes in _push_colorings(rule, bit, k)))
+
+
+def colored_leq(a: tuple, b: tuple) -> bool:
+    """Node a is node b with some colored occurrences removed.  Greedy
+    per-stack check: skipped positions of b must be colored, matched
+    positions must agree on both symbol and color.  So a and b share their
+    uncolored projection."""
+    if a[0] != b[0]:
+        return False
+    for wa, wb in zip(a[1], b[1]):
+        i = 0
+        for entry in wb:
+            if i < len(wa) and entry == wa[i]:
+                i += 1
+            elif not entry & 1:
+                return False
+        if i < len(wa):
+            return False
+    return True
+
+
+def _uncolored_projection(node: tuple) -> tuple:
+    """The state and the uncolored entries, per stack."""
+    return node[0], tuple(tuple(c for c in w if not c & 1) for w in node[1])
+
+
+def colored_successors(m: Mpda, node: tuple, uncolored_limit: int | None = None) -> list[tuple[TransitionRule, tuple]]:
+    """One colored step from a node of `colored_machine(m)`: each rule fired
+    with its result node, keeping those with fewer than `uncolored_limit`
+    uncolored occurrences when a limit is given."""
+    out = m.compiled(colored_machine).successors(node)
+    if uncolored_limit is None:
+        return out
+    return [(rule, nxt) for rule, nxt in out if sum(1 for w in nxt[1] for c in w if not c & 1) < uncolored_limit]
 
 
 def _push_colorings(rule: TransitionRule, colored_pop: bool, stack_count: int) -> tuple:
-    """The colored pushes of `rule` for a pop of the given color, each with
-    its number of uncolored symbols, in the order `colored_successors`
-    tries them."""
+    """The colored pushes of `rule` for a pop of the given color, in the
+    order `colored_successors` tries them."""
     if colored_pop:
         if rule.changes_state:
             return ()
-        return ((tuple(tuple((s, True) for s in w) for w in rule.push), 0),)
+        return (tuple(tuple((s, True) for s in w) for w in rule.push),)
     positions = [(j, p) for j in range(stack_count) for p in range(len(rule.push[j]))]
     # a state-preserving rule keeps at least one push uncolored
     most_colored = len(positions) if rule.changes_state else len(positions) - 1
     out = []
     for k in range(most_colored + 1):
         for colored in map(set, itertools.combinations(positions, k)):
-            pushes = tuple(
+            out.append(tuple(
                 tuple((s, (j, p) in colored) for p, s in enumerate(rule.push[j]))
                 for j in range(stack_count)
-            )
-            out.append((pushes, len(positions) - k))
+            ))
     return tuple(out)
 
 
-def source_colorings(s: Configuration, uncolored_limit: int):
-    """All colorings of s with fewer than uncolored_limit uncolored symbols."""
-    positions = [(i, p) for i, w in enumerate(s.stacks) for p in range(len(w))]
+def source_colorings(m: Mpda, s: Configuration, uncolored_limit: int):
+    """All colorings of s with fewer than uncolored_limit uncolored symbols,
+    as nodes of `colored_machine(m)`."""
+    state, stacks = m.compiled().encode(s)
+    positions = [(i, p) for i, w in enumerate(stacks) for p in range(len(w))]
     for k in range(min(len(positions), uncolored_limit - 1) + 1):
         for kept in map(set, itertools.combinations(positions, k)):
-            yield AnnotatedConfiguration(
-                s.state,
-                tuple(tuple((sym, (i, p) not in kept) for p, sym in enumerate(w)) for i, w in enumerate(s.stacks)),
-            )
+            yield state, tuple(tuple(2 * c + ((i, p) not in kept) for p, c in enumerate(w)) for i, w in enumerate(stacks))
 
 
 class _Embeddings:
-    """Admitted colored configurations, bucketed by `uncolored_projection`:
-    `c in index` holds when some admitted v has colored_leq(v, c), and
-    colored_leq only relates configurations of one bucket."""
+    """Admitted nodes, bucketed by uncolored projection: `node in index`
+    holds when some admitted v has colored_leq(v, node), and colored_leq
+    only relates nodes of one bucket."""
 
     def __init__(self) -> None:
-        self.buckets: dict[tuple, list[AnnotatedConfiguration]] = {}
+        self.buckets: dict[tuple, list[tuple]] = {}
 
-    def __contains__(self, c: AnnotatedConfiguration) -> bool:
-        return any(colored_leq(v, c) for v in self.buckets.get(c.uncolored_projection, ()))
+    def __contains__(self, node: tuple) -> bool:
+        return any(colored_leq(v, node) for v in self.buckets.get(_uncolored_projection(node), ()))
 
-    def add(self, c: AnnotatedConfiguration) -> None:
-        self.buckets.setdefault(c.uncolored_projection, []).append(c)
+    def add(self, node: tuple) -> None:
+        self.buckets.setdefault(_uncolored_projection(node), []).append(node)
 
 
 def reach_wqo(m: Mpda, sources: Iterable[Configuration], t: Configuration, max_nodes: int | None = None) -> Verdict:
@@ -126,18 +126,19 @@ def reach_wqo(m: Mpda, sources: Iterable[Configuration], t: Configuration, max_n
     "unknown" when more than `max_nodes` colored configurations would be
     admitted, otherwise exact.
 
-    One depth-first search over colored configurations, which draws the
-    sources lazily; a new node is skipped when some already admitted node
-    embeds into it (anything it could contribute is then reachable from the
-    smaller node as well).  Every colored step fires a concrete rule, so the
-    colored path with its colors dropped is a run from a source to t."""
+    One depth-first search over the nodes of `colored_machine(m)`, which
+    draws the sources lazily; a new node is skipped when some already
+    admitted node embeds into it (anything it could contribute is then
+    reachable from the smaller node as well).  Every colored step fires a
+    concrete rule, so the colored path with its colors dropped is a run from
+    a source to t, and the rules are its steps."""
     require_weak(m)
     limit = len(m.states) + t.size
-    target = annotate(t, colored=False)
+    target = m.compiled(colored_machine).encode(annotate(t))
     res = search(
-        (c for s in sources for c in source_colorings(s, limit)),
-        lambda c: ((None, nxt) for nxt in colored_successors(m, c, uncolored_limit=limit)),
-        lambda c: c == target,
+        (c for s in sources for c in source_colorings(m, s, limit)),
+        lambda node: colored_successors(m, node, uncolored_limit=limit),
+        target.__eq__,
         depth_first=True,
         covered=_Embeddings(),
         max_nodes=max_nodes,
@@ -146,9 +147,9 @@ def reach_wqo(m: Mpda, sources: Iterable[Configuration], t: Configuration, max_n
         return Verdict("unknown", explored=res.explored, budget="max-explored")
     if res.path is None:
         return Verdict("unreachable", explored=res.explored)
-    run = [c.plain for c in res.path]
-    steps = tuple(next(r for r, nxt in successors(m, a) if nxt == b) for a, b in zip(run, run[1:]))
-    return Verdict("reachable", Witness(run[0], steps), explored=res.explored)
+    state, stacks = res.path[0]
+    start = m.compiled().decode((state, tuple(tuple(c >> 1 for c in w) for w in stacks)))
+    return Verdict("reachable", Witness(start, res.labels), explored=res.explored)
 
 
 def decide_wqo(m: Mpda, s: Configuration, t: Configuration) -> bool:

@@ -96,6 +96,14 @@ def random_regset(rng: random.Random, m: Mpda, max_nfa_states: int = 2) -> RegSe
     return RegSet(m, comps)
 
 
+def fire(c: Configuration, rule: TransitionRule, pushes: tuple) -> Configuration:
+    """`rule` fired on the top of its stack of c, with `pushes` pushed in
+    place of `rule.push`: the object-level step of an abstraction."""
+    stacks = list(c.stacks)
+    stacks[rule.pop.stack] = stacks[rule.pop.stack][1:]
+    return Configuration(rule.dst, tuple(p + w for p, w in zip(pushes, stacks)))
+
+
 def random_walk(rng: random.Random, m: Mpda, start: Configuration, max_steps: int) -> Witness:
     steps = []
     cur = start

@@ -10,7 +10,6 @@ from mpda import formats
 from mpda.gadgets import anbncn, cfg_intersection, expo, nonreg_forward, parse_grammar
 from mpda.marked import decide_marked, mk_subwords, reconstruct
 from mpda.model import (
-    AnnotatedConfiguration,
     Configuration,
     Mpda,
     StackSymbol,
@@ -40,7 +39,7 @@ from mpda.regsets import (
     union,
 )
 from mpda.separator import decide_separator
-from mpda.wqo import colored_leq, colored_successors, decide_wqo
+from mpda.wqo import _uncolored_projection, colored_leq, colored_machine, colored_successors, decide_wqo
 
 from helpers import (
     random_configuration,
@@ -195,6 +194,8 @@ class TestCriterion08DescendantForest:
 
 
 def colored_configurations(m, max_size):
+    """Every node of the colored machine of size at most max_size."""
+    cm = m.compiled(colored_machine)
     letters = [
         [(s, col) for s in alpha for col in (False, True)]
         for alpha in m.alphabets
@@ -205,7 +206,7 @@ def colored_configurations(m, max_size):
                 for words in itertools.product(
                     *(itertools.product(letters[i], repeat=lens[i]) for i in range(m.stack_count))
                 ):
-                    yield AnnotatedConfiguration(state, tuple(words))
+                    yield cm.encode(Configuration(state, tuple(words)))
 
 
 def _compositions(total, parts):
@@ -218,17 +219,17 @@ def _compositions(total, parts):
 
 
 def colored_deletions(r):
-    """Every configuration obtained by dropping a nonempty set of colored
-    occurrences from r."""
-    colored_pos = [(i, p) for i, w in enumerate(r.stacks) for p, (_, col) in enumerate(w) if col]
+    """Every node obtained by dropping a nonempty set of colored
+    occurrences from node r."""
+    colored_pos = [(i, p) for i, w in enumerate(r[1]) for p, code in enumerate(w) if code & 1]
     for k in range(1, len(colored_pos) + 1):
         for drop in itertools.combinations(colored_pos, k):
             gone = set(drop)
-            yield AnnotatedConfiguration(
-                r.state,
+            yield (
+                r[0],
                 tuple(
                     tuple(e for p, e in enumerate(w) if (i, p) not in gone)
-                    for i, w in enumerate(r.stacks)
+                    for i, w in enumerate(r[1])
                 ),
             )
 
@@ -242,7 +243,7 @@ class TestCriterion09Compatibility:
 
             def succ(c):
                 if c not in succ_cache:
-                    succ_cache[c] = colored_successors(m, c)
+                    succ_cache[c] = [nxt for _, nxt in colored_successors(m, c)]
                 return succ_cache[c]
 
             for r in colored_configurations(m, 4):
@@ -265,7 +266,7 @@ class TestEmbeddingBuckets:
             for a in small:
                 for b in small:
                     if colored_leq(a, b):
-                        assert a.uncolored_projection == b.uncolored_projection, f"{a} <= {b}"
+                        assert _uncolored_projection(a) == _uncolored_projection(b), f"{a} <= {b}"
 
 
 class TestCriterion10Shrink:

@@ -5,9 +5,11 @@ import pytest
 from mpda import formats
 from mpda.cli import main
 from mpda.gadgets import anbncn
+from mpda.marked import default_tgt_cap
 from mpda.model import Witness, replay
 from mpda.regsets import member, singleton, union
 from mpda.separator import check_separator
+from mpda.wqo import default_src_cap
 
 
 def run(capsys, *argv):
@@ -199,6 +201,45 @@ class TestReach:
             "--from", "q1 : NOPE |", "--to", "q2 : |",
         )
         assert code == 3
+
+
+class TestCaps:
+    """A search cut by a user cap below the bound its decider proves
+    complete answers "unknown"; the default caps are those bounds."""
+
+    MACHINE = "mpda {\n  states: q\n  stacks: 1\n  alphabet 1: X\n  rule q X -> q :\n}\n"
+
+    def files(self, tmp_path, edges):
+        mfile = tmp_path / "m.mpda"
+        mfile.write_text(self.MACHINE)
+        sfile = tmp_path / "L.regset"
+        sfile.write_text("regset {\n  state q {\n    nfa 1 { states: s0 ; initial: s0" + edges + " }\n"
+                         "    accept: (s0)\n  }\n}\n")
+        return mfile, sfile
+
+    @pytest.mark.parametrize("method, flag", [("wqo", "--src-cap"), ("marked", "--src-cap"), ("marked", "--tgt-cap")])
+    def test_cap_below_the_bound_is_unknown(self, tmp_path, capsys, method, flag):
+        # X X X is in L = X* and is the target itself
+        mfile, sfile = self.files(tmp_path, " ; edge s0 X s0")
+        argv = ["reach", str(mfile), "--from", "@" + str(sfile), "--to", "q : X X X", "--method", method]
+        code, record, out = run(capsys, *argv, flag, "2")
+        assert code == 2 and record["status"] == "unknown"
+        assert record["budget"] == flag[2:] and f"{flag[2:]} budget ran out" in out.out
+        code, record, _ = run(capsys, *argv)
+        assert code == 0 and record["status"] == "reachable"
+
+    def test_caps_at_the_bound_keep_unreachable(self, tmp_path, capsys):
+        # L holds the empty stack only
+        mfile, sfile = self.files(tmp_path, "")
+        m = formats.parse_mpda(mfile.read_text())
+        t = formats.parse_configuration("q : X X X", m)
+        scap = default_src_cap(formats.parse_regset(sfile.read_text(), m), t)
+        tcap = default_tgt_cap(singleton(m, t))
+        for method, caps in (("wqo", ["--src-cap", str(scap)]),
+                             ("marked", ["--src-cap", str(scap), "--tgt-cap", str(tcap)])):
+            code, record, _ = run(capsys, "reach", str(mfile), "--from", "@" + str(sfile), "--to", "q : X X X",
+                                  "--method", method, *caps)
+            assert code == 1 and record["status"] == "unreachable" and "budget" not in record
 
 
 class TestExitCodes:

@@ -104,6 +104,20 @@ class TestWitnessFormat:
         with pytest.raises(ParseError):
             formats.parse_witness("# nothing\n", anbncn().mpda)
 
+    def test_steps_are_the_machines_rule_objects(self):
+        inst = anbncn()
+        m = inst.mpda
+        w = Witness(inst.source, (m.rules[0], m.rules[1], m.rules[2], m.rules[3], m.rules[4]))
+        text = formats.serialize_witness(w)
+        # the same rules written another way: a labeled arrow, extra blanks, a comment
+        text += "rule  q1 X -lbl-> q1 :  X B | C   # again\n" + "rule q1 X -> q1 : X B | C\n"
+        got = formats.parse_witness(text, m)
+        assert got.steps == w.steps + (m.rules[0], m.rules[0])
+        assert all(any(step is r for r in m.rules) for step in got.steps)
+        with pytest.raises(ParseError) as ei:
+            formats.parse_witness(text + "rule q1 D -> q1 : |\n", m)
+        assert ei.value.line == 9
+
 
 class TestRegsetFormat:
     def test_roundtrip_fixture(self):

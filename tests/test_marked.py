@@ -8,20 +8,37 @@ from mpda.marked import (
     decide_marked,
     decide_regreg,
     marked_subconfigurations,
-    mk_subtransitions,
     mk_subwords,
     reconstruct,
     subtransitions_for,
 )
-from mpda.model import AnnotatedSymbol, Configuration, Mpda, StackSymbol, TransitionRule, annotate, replay
+from mpda.model import AnnotatedSymbol, Configuration, Mpda, StackSymbol, TransitionRule, annotate, replay, search
 from mpda.oracle import OracleBudget, reach_config
 from mpda.regsets import singleton
 
-from helpers import random_configuration, random_weak_mpda
+from helpers import fire, random_configuration, random_weak_mpda
 
 
 def render(w):
     return "".join(("~" if ms.marked else "") + ms.base.name for ms in w)
+
+
+def mk_subtransitions(m):
+    """Every marked variant of every rule of m."""
+    out = []
+    for rule in m.rules:
+        for lhs_marked in (False, True):
+            out.extend(subtransitions_for(rule, lhs_marked, m.stack_count))
+    return tuple(out)
+
+
+def marked_trace(res):
+    """The marked configurations along a marked path, origin first."""
+    assert res.origin is not None
+    out = [res.origin]
+    for st in res.steps:
+        out.append(fire(out[-1], st.origin, st.pushes))
+    return out
 
 
 class TestMkSubwords:
@@ -111,7 +128,7 @@ class TestDecideMarked:
         inst = expo(6)
         tgt = Configuration("q", ((inst.mpda.symbol("X6"),),))
         res = decide_marked(inst.mpda, inst.source, tgt)
-        tr = res.marked_trace()
+        tr = marked_trace(res)
         for prev, st, nxt in zip(tr, res.steps, tr[1:]):
             if st.origin.changes_state:
                 assert nxt.size >= prev.size - 1
@@ -145,6 +162,46 @@ class TestDecideMarked:
             if v.status == "unknown" or v.truncated and not v.reachable:
                 continue
             assert res.reachable == v.reachable, f"{s} -> {t} on {m.rules}"
+
+
+def reference_decide_marked(m, s, t):
+    """The marked search over configurations of `AnnotatedSymbol` entries:
+    stack by stack, the rules popping the top in declaration order, each
+    with its `subtransitions_for` in order."""
+    bound = t.size + len(m.states)
+    target = annotate(t)
+
+    def expand(c):
+        for w in c.stacks:
+            if not w:
+                continue
+            top = w[0]
+            for rule in m.rules:
+                if rule.src == c.state and rule.pop == top.base:
+                    for st in subtransitions_for(rule, top.marked, m.stack_count):
+                        nxt = fire(c, rule, st.pushes)
+                        if nxt.size <= bound:
+                            yield st, nxt
+
+    return search(marked_subconfigurations(s, bound), expand, lambda c: c == target)
+
+
+class TestMarkedMachine:
+    def test_search_matches_the_object_level_reference(self):
+        rng = random.Random(606)
+        reached = 0
+        for _ in range(220):
+            m = random_weak_mpda(rng, strongly_normed=True, max_rules=9)
+            s = random_configuration(rng, m, 4)
+            t = random_configuration(rng, m, 4)
+            res = decide_marked(m, s, t)
+            ref = reference_decide_marked(m, s, t)
+            assert res.reachable == (ref.path is not None), f"{s} -> {t} on {m.rules}"
+            if res.reachable:
+                reached += 1
+                assert res.origin == ref.path[0]
+                assert res.steps == ref.labels, f"{s} -> {t} on {m.rules}"
+        assert reached > 40
 
 
 class TestReconstruct:

@@ -1,13 +1,16 @@
+import itertools
 import random
 
 import pytest
 
 from mpda.classify import NotWeak
 from mpda.gadgets import anbncn, expo, nonreg_forward
-from mpda.model import AnnotatedConfiguration, Configuration, Mpda, StackSymbol, TransitionRule, annotate, replay
+from mpda.model import AnnotatedSymbol, Configuration, Mpda, StackSymbol, TransitionRule, Witness, annotate, replay, search
 from mpda.oracle import OracleBudget, reach_config
 from mpda.wqo import (
+    _push_colorings,
     colored_leq,
+    colored_machine,
     colored_successors,
     decide_wqo,
     default_src_cap,
@@ -16,11 +19,11 @@ from mpda.wqo import (
 )
 from mpda.regsets import enumerate_members, member, singleton
 
-from helpers import random_configuration, random_regset, random_weak_mpda
+from helpers import fire, random_configuration, random_regset, random_weak_mpda
 
 
 def cc(m, state, *stacks):
-    """'~X B' -> ((X, True), (B, False))"""
+    """'~X B' -> the node of ((X, True), (B, False)) in the colored machine"""
     def word(w):
         out = []
         for tok in w.split():
@@ -28,7 +31,29 @@ def cc(m, state, *stacks):
             out.append((m.symbol(tok.lstrip("~")), col))
         return tuple(out)
 
-    return AnnotatedConfiguration(state, tuple(word(w) for w in stacks))
+    return m.compiled(colored_machine).encode(Configuration(state, tuple(word(w) for w in stacks)))
+
+
+def shown(m, node):
+    """A node as its colored configuration."""
+    return m.compiled(colored_machine).decode(node)
+
+
+def size(node):
+    return sum(len(w) for w in node[1])
+
+
+def uncolored_count(c):
+    """The uncolored entries of a colored configuration."""
+    return sum(1 for w in c.stacks for _, bit in w if not bit)
+
+
+def plain(c):
+    return Configuration(c.state, tuple(tuple(sym for sym, _ in w) for w in c.stacks))
+
+
+def children(m, node, uncolored_limit=None):
+    return [nxt for _, nxt in colored_successors(m, node, uncolored_limit)]
 
 
 @pytest.fixture
@@ -67,12 +92,12 @@ class TestColoredSuccessors:
     def test_colored_pop_pushes_all_colored(self, m):
         # X -> X B | C fired on a colored X: single variant, all colored
         r = cc(m, "q1", "~X", "")
-        got = [c for c in colored_successors(m, r) if c.size == 3]
+        got = [c for c in children(m, r) if size(c) == 3]
         assert got == [cc(m, "q1", "~X ~B", "~C")]
 
     def test_uncolored_pop_enumerates_push_colorings(self, m):
         r = cc(m, "q1", "X", "")
-        got = {str(c) for c in colored_successors(m, r) if c.size == 3}
+        got = {str(shown(m, c)) for c in children(m, r) if size(c) == 3}
         # X -> X B | C is state-preserving: the all-colored variant is absent
         assert got == {
             "q1 : X B | C",
@@ -87,36 +112,36 @@ class TestColoredSuccessors:
     def test_state_preserving_eraser_has_no_uncolored_pop_variant(self):
         a = StackSymbol("A", 0)
         m = Mpda(("q",), ((a,),), (TransitionRule("q", a, "q", ((),)),))
-        assert colored_successors(m, cc(m, "q", "A")) == []
+        assert children(m, cc(m, "q", "A")) == []
         # a colored pop is still fine
-        assert colored_successors(m, cc(m, "q", "~A")) == [cc(m, "q", "")]
+        assert children(m, cc(m, "q", "~A")) == [cc(m, "q", "")]
 
     def test_state_changing_eraser_is_unrestricted(self, m):
-        got = colored_successors(m, cc(m, "q1", "D", ""))
+        got = children(m, cc(m, "q1", "D", ""))
         assert got == [cc(m, "q2", "", "")]
 
     def test_no_colored_pop_for_state_changing_rules(self, m):
         # a state-changing step always consumes a relevance-carrying
         # occurrence, so a colored top cannot feed it
-        assert colored_successors(m, cc(m, "q1", "~D", "")) == []
+        assert children(m, cc(m, "q1", "~D", "")) == []
 
     def test_uncolored_limit_filters(self, m):
         r = cc(m, "q1", "X", "")
-        got = colored_successors(m, r, uncolored_limit=2)
-        assert got and all(c.uncolored_count < 2 for c in got)
+        got = children(m, r, uncolored_limit=2)
+        assert got and all(uncolored_count(shown(m, c)) < 2 for c in got)
 
 
 class TestSourceColorings:
     def test_counts_and_limit(self, m):
         s = Configuration("q1", ((m.symbol("X"), m.symbol("D")), ()))
-        all_of_them = list(source_colorings(s, 3))
+        all_of_them = list(source_colorings(m, s, 3))
         assert len(all_of_them) == 4  # any subset of {X, D} uncolored
-        capped = list(source_colorings(s, 1))
+        capped = list(source_colorings(m, s, 1))
         assert capped == [cc(m, "q1", "~X ~D", "")]
 
     def test_underlying_configuration_is_preserved(self, m):
         s = Configuration("q1", ((m.symbol("X"),), (m.symbol("C"),)))
-        for c in source_colorings(s, 5):
+        for c in (shown(m, n) for n in source_colorings(m, s, 5)):
             assert tuple(tuple(sym for sym, _ in w) for w in c.stacks) == s.stacks
 
 
@@ -201,9 +226,9 @@ class TestRegToOne:
 
     def test_annotate_round_trip(self, m):
         s = Configuration("q1", ((m.symbol("X"),), (m.symbol("C"),)))
-        assert annotate(s).uncolored_count == 2
-        assert annotate(s, colored=True).uncolored_count == 0
-        assert annotate(s).plain == s
+        assert uncolored_count(annotate(s)) == 2
+        assert uncolored_count(annotate(s, colored=True)) == 0
+        assert plain(annotate(s)) == s
 
     def test_one_search_over_all_sources(self):
         # one DFS with one embedding index over every member of L answers
@@ -225,3 +250,92 @@ class TestRegToOne:
                 assert member(L, v.witness.start)
                 assert replay(m, v.witness) == t, f"{first} -> {t} on {m.rules}"
         assert reached > 10
+
+
+# ------------------------------------------- the object-level reference search
+
+def reference_leq(a, b):
+    """colored_leq on configurations of (symbol, color) entries."""
+    if a.state != b.state:
+        return False
+    for wa, wb in zip(a.stacks, b.stacks):
+        i = 0
+        for entry in wb:
+            if i < len(wa) and entry == wa[i]:
+                i += 1
+            elif not entry[1]:
+                return False
+        if i < len(wa):
+            return False
+    return True
+
+
+class ReferenceEmbeddings:
+    def __init__(self):
+        self.buckets = {}
+
+    @staticmethod
+    def key(c):
+        return c.state, tuple(tuple(sym for sym, bit in w if not bit) for w in c.stacks)
+
+    def __contains__(self, c):
+        return any(reference_leq(v, c) for v in self.buckets.get(self.key(c), ()))
+
+    def add(self, c):
+        self.buckets.setdefault(self.key(c), []).append(c)
+
+
+def reference_source_colorings(s, limit):
+    positions = [(i, p) for i, w in enumerate(s.stacks) for p in range(len(w))]
+    for k in range(min(len(positions), limit - 1) + 1):
+        for kept in map(set, itertools.combinations(positions, k)):
+            yield Configuration(s.state, tuple(
+                tuple(AnnotatedSymbol(sym, (i, p) not in kept) for p, sym in enumerate(w)) for i, w in enumerate(s.stacks)))
+
+
+def reference_reach_wqo(m, sources, t, max_nodes=None):
+    """The colored search over configurations of (symbol, color) entries:
+    stack by stack, the rules popping the top in declaration order, each
+    with its `_push_colorings` in order; every step is labeled with the
+    rule it fired.  Returns (status, explored, witness)."""
+    limit = len(m.states) + t.size
+    target = annotate(t)
+
+    def expand(c):
+        for w in c.stacks:
+            if not w:
+                continue
+            top, bit = w[0]
+            for rule in m.rules:
+                if rule.src == c.state and rule.pop == top:
+                    for pushes in _push_colorings(rule, bit, m.stack_count):
+                        nxt = fire(c, rule, pushes)
+                        if uncolored_count(nxt) < limit:
+                            yield rule, nxt
+
+    res = search((c for s in sources for c in reference_source_colorings(s, limit)), expand, lambda c: c == target,
+                 depth_first=True, covered=ReferenceEmbeddings(), max_nodes=max_nodes)
+    if res.cut:
+        return "unknown", res.explored, None
+    if res.path is None:
+        return "unreachable", res.explored, None
+    return "reachable", res.explored, Witness(plain(res.path[0]), res.labels)
+
+
+class TestColoredMachine:
+    def test_search_matches_the_object_level_reference(self):
+        rng = random.Random(707)
+        seen = set()
+        for _ in range(220):
+            m = random_weak_mpda(rng)
+            t = random_configuration(rng, m, 3)
+            if rng.random() < 0.25:
+                sources = list(enumerate_members(random_regset(rng, m), 2))
+            else:
+                sources = [random_configuration(rng, m, 3)]
+            for cap in (None, 1, 5, 30):
+                v = reach_wqo(m, sources, t, max_nodes=cap)
+                want = reference_reach_wqo(m, sources, t, max_nodes=cap)
+                assert (v.status, v.explored, v.witness) == want, f"{sources} -> {t} on {m.rules}, cap {cap}"
+                seen.add(v.status)
+        assert seen == {"reachable", "unreachable", "unknown"}
