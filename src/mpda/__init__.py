@@ -45,7 +45,7 @@ from .regsets import (
     singleton,
     union,
 )
-from .classify import is_normed, is_strongly_normed, is_weak, cancel_table
+from .classify import is_normed, is_strongly_normed, is_weak, cancel_table, canceling_sequences
 from .oracle import OracleBudget, bfs_reach, is_fully_active, shortest_path_length, shrink_source
 from .marked import decide_marked, decide_regreg, mk_subwords, reach_marked, reconstruct
 from .wqo import colored_leq, colored_successors, decide_wqo, reach_wqo

@@ -4,14 +4,15 @@ weak            control states admit a partial order that every rule descends
 normed          every configuration can be emptied (possibly changing state)
 strongly normed every configuration can be emptied without changing state
 
-Strong normedness comes with a cancel table: for each state q and symbol X, a
-replayable state-preserving rule sequence that removes a topmost X together
-with everything it spawns.
+Strong normedness comes with a cancel table, one erasing rule per state and
+symbol; `canceling_sequences` expands it into the rules that remove a topmost
+X in place together with everything it spawns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .model import Configuration, Mpda, StackSymbol, TransitionRule, Witness, replay
 
@@ -75,7 +76,7 @@ def require_weak(m: Mpda) -> None:
         raise NotWeak(f"state cycle: {' -> '.join(wk.cycle or ())}")
 
 
-CancelTable = dict[tuple[str, StackSymbol], tuple[TransitionRule, ...]]
+CancelTable = dict[tuple[str, StackSymbol], TransitionRule]
 
 
 @dataclass(frozen=True)
@@ -87,14 +88,12 @@ class StrongNormResult:
 
 
 def is_strongly_normed(m: Mpda) -> StrongNormResult:
-    """Least fixpoint of in-state erasability, with witnessing rule choices."""
-    chosen: dict[tuple[str, StackSymbol], TransitionRule] = {}
-    rounds: dict[tuple[str, StackSymbol], int] = {}
-    rnd = 0
+    """Least fixpoint of in-state erasability.  A pair gets a state-preserving
+    rule popping it that pushes only symbols chosen before it."""
+    chosen: CancelTable = {}
     changed = True
     while changed:
         changed = False
-        rnd += 1
         for r in m.rules:
             if r.changes_state:
                 continue
@@ -103,29 +102,13 @@ def is_strongly_normed(m: Mpda) -> StrongNormResult:
                 continue
             if all((r.src, s) in chosen for w in r.push for s in w):
                 chosen[key] = r
-                rounds[key] = rnd
                 changed = True
     for q in m.states:
         for alpha in m.alphabets:
             for sym in alpha:
                 if (q, sym) not in chosen:
                     return StrongNormResult(False, None, (q, sym))
-    table: CancelTable = {}
-
-    def fragment(key: tuple[str, StackSymbol]) -> tuple[TransitionRule, ...]:
-        if key in table:
-            return table[key]
-        r = chosen[key]
-        frag = [r]
-        for w in r.push:
-            for sym in w:
-                frag.extend(fragment((key[0], sym)))
-        table[key] = tuple(frag)
-        return table[key]
-
-    for key in chosen:
-        fragment(key)
-    return StrongNormResult(True, table, None)
+    return StrongNormResult(True, chosen, None)
 
 
 def cancel_table(m: Mpda) -> CancelTable:
@@ -137,15 +120,35 @@ def cancel_table(m: Mpda) -> CancelTable:
     return res.cancel
 
 
+def canceling_sequences(table: CancelTable) -> Callable[[str, StackSymbol], tuple[TransitionRule, ...]]:
+    """`expand(q, X)`: the rules that erase a topmost X in state q with all it
+    spawns: the table's rule for (q, X), then the sequence of each symbol that
+    rule pushes, stack by stack, top first.  Memoized per `expand`."""
+    memo: dict[tuple[str, StackSymbol], tuple[TransitionRule, ...]] = {}
+
+    def expand(q: str, sym: StackSymbol) -> tuple[TransitionRule, ...]:
+        if (q, sym) not in memo:
+            rule = table[(q, sym)]
+            flat = [rule]
+            for w in rule.push:
+                for pushed in w:
+                    flat += expand(q, pushed)
+            memo[(q, sym)] = tuple(flat)
+        return memo[(q, sym)]
+
+    return expand
+
+
 def check_cancel_table(m: Mpda, table: CancelTable) -> None:
-    """Replay each fragment on a lone symbol and require the empty configuration."""
-    for (q, sym), frag in table.items():
+    """Replay each canceling sequence on a lone symbol; require an empty end."""
+    expand = canceling_sequences(table)
+    for q, sym in table:
         stacks = tuple(
             (sym,) if i == sym.stack else () for i in range(m.stack_count)
         )
-        end = replay(m, Witness(Configuration(q, stacks), frag))
+        end = replay(m, Witness(Configuration(q, stacks), expand(q, sym)))
         if end != m.empty_configuration(q):
-            raise AssertionError(f"cancel fragment for ({q}, {sym.name}) does not erase: ends at {end}")
+            raise AssertionError(f"canceling sequence for ({q}, {sym.name}) does not erase: ends at {end}")
 
 
 @dataclass(frozen=True)
@@ -160,6 +163,8 @@ def is_normed(m: Mpda) -> NormResult:
     from .wqo import decide_wqo
 
     require_weak(m)
+    if is_strongly_normed(m).strongly_normed:
+        return NormResult(True, None)  # every lone symbol erases in place
     for q in m.states:
         for alpha in m.alphabets:
             for sym in alpha:

@@ -3,13 +3,16 @@
 Every command prints one JSON record (machine-readable run report) followed
 by a short human summary.  Exit codes for `reach`: 0 reachable,
 1 unreachable, 2 unknown / out of budget; for every command: 3 usage or
-input error, 4 internal error (with a traceback on stderr).
+input error, 4 internal error (with a traceback on stderr), 141 (quietly)
+when the reader closed stdout early, as `| head` does: the shell's code for
+a process that SIGPIPE killed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 import traceback
@@ -40,11 +43,24 @@ def _read(path: str) -> str:
         raise CliError(f"cannot read {path}: {e}") from None
 
 
-def _int(text: str, what: str) -> int:
+def _count(text: str) -> int:
+    """`text` as a non-negative integer: the argparse type of every budget
+    and cap, whose usage error names the flag."""
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
-        raise CliError(f"{what}: expected an integer, got {text!r}") from None
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
+def _int(text: str, what: str) -> int:
+    """`_count` for a field that `what` names."""
+    try:
+        return _count(text)
+    except argparse.ArgumentTypeError as e:
+        raise CliError(f"{what}: {e}") from None
 
 
 def _load_mpda(path: str) -> Mpda:
@@ -210,7 +226,7 @@ def cmd_reach(args) -> int:
             _write(args.witness, formats.serialize_witness(verdict.witness))
             record["witness_file"] = args.witness
     if verdict.certificate is not None and args.certificate:
-        _write(args.certificate, formats.serialize_regset(verdict.certificate.separator))
+        _write(args.certificate, formats.serialize_regset(verdict.certificate))
         record["certificate_file"] = args.certificate
     _report(record, summary)
     return {"reachable": 0, "unreachable": 1, "unknown": 2}[status]
@@ -365,10 +381,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         r.add_argument("--from", dest="src", required=True, help="configuration literal or @file.regset")
         r.add_argument("--to", required=True, help="configuration literal or @file.regset")
         r.add_argument("--method", choices=("oracle", "marked", "wqo", "separator", "auto"), default="auto")
-        r.add_argument("--max-size", type=int, default=None, help="oracle size cap")
-        r.add_argument("--max-explored", type=int, default=100_000)
-        r.add_argument("--src-cap", type=int, default=None)
-        r.add_argument("--tgt-cap", type=int, default=None)
+        r.add_argument("--max-size", type=_count, default=None, help="oracle size cap")
+        r.add_argument("--max-explored", type=_count, default=100_000)
+        r.add_argument("--src-cap", type=_count, default=None)
+        r.add_argument("--tgt-cap", type=_count, default=None)
         r.add_argument("--witness", help="write the witness to this file")
         r.add_argument("--certificate", help="write a separator certificate to this file")
         r.set_defaults(fn=cmd_reach)
@@ -388,7 +404,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         s.add_argument("op", choices=("member", "union", "intersect", "complement", "is-empty", "is-subset", "enumerate"))
         s.add_argument("args", nargs="*")
         s.add_argument("--out")
-        s.add_argument("--budget", type=int, default=regsets.DEFAULT_DET_BUDGET)
+        s.add_argument("--budget", type=_count, default=regsets.DEFAULT_DET_BUDGET)
         s.set_defaults(fn=cmd_regset)
 
     if command in (None, "pre"):
@@ -415,7 +431,19 @@ def main(argv: list[str] | None = None) -> int:
         # help and unknown commands get the full parser, for its list of commands
         args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
         cmd = args.cmd
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone; the interpreter's last flush goes to devnull
+        try:
+            fd = sys.stdout.fileno()
+        except (OSError, ValueError):  # stdout is not a file descriptor
+            return 141
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return 141
     except (CliError, formats.ParseError, MpdaError, cls.NotWeak, cls.NotStronglyNormed,
             regsets.TooLarge, oracle.SourceNotInL, gadgets.BadGrammar) as e:
         print(json.dumps({"command": cmd, "error": str(e)}), file=sys.stderr)

@@ -15,7 +15,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 
-from .classify import cancel_table, require_weak
+from .classify import cancel_table, canceling_sequences, require_weak
 from .model import (
     AnnotatedSymbol,
     CompiledMpda,
@@ -151,7 +151,7 @@ def reconstruct(m: Mpda, s: Configuration, result: MarkedSearchResult) -> Witnes
     The stacks are lists of entries with the top at the end."""
     if not result.reachable or result.origin is None:
         raise ReconstructionFailed("no marked path to expand")
-    cancel = cancel_table(m)
+    expand = canceling_sequences(cancel_table(m))
 
     def colored(words: tuple[Word, ...], marked: tuple[MWord, ...]) -> tuple[MWord, ...]:
         """`words` with the positions that their marked subwords delete colored."""
@@ -179,7 +179,7 @@ def reconstruct(m: Mpda, s: Configuration, result: MarkedSearchResult) -> Witnes
         colored_top = next((w[-1].base for w in stacks if w and w[-1].marked), None)
         if colored_top is not None:
             # the canceling sequence erases the top and all it spawns, in place
-            erase = cancel[(state, colored_top)]
+            erase = expand(state, colored_top)
             run_rule(erase[0], ((),) * m.stack_count)
             fired.extend(erase[1:])
             continue

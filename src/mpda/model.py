@@ -308,11 +308,11 @@ def successors(m: Mpda, c: Configuration) -> list[tuple[TransitionRule, Configur
 @dataclass(frozen=True)
 class Verdict:
     """The answer of every reachability decider: "reachable" with a
-    `witness`, "unreachable" (a separator's with its `certificate`), or
-    "unknown" with the `budget` that ran out.  Searches count the nodes they
-    admit in `explored`; `truncated` says a size cap left configurations
-    unexpanded, so an "unreachable" holds only below that cap.  `detail`
-    holds the record fields of one decider."""
+    `witness`, "unreachable" (a separator's with the separating `RegSet` as
+    its `certificate`), or "unknown" with the `budget` that ran out.
+    Searches count the nodes they admit in `explored`; `truncated` says a
+    size cap left configurations unexpanded, so an "unreachable" holds only
+    below that cap.  `detail` holds the record fields of one decider."""
 
     status: str  # "reachable" | "unreachable" | "unknown"
     witness: Witness | None = None
@@ -517,12 +517,10 @@ def words_over(alphabet: tuple[StackSymbol, ...], length: int) -> Iterator[Word]
     yield from itertools.product(alphabet, repeat=length)
 
 
-def all_configurations(m: Mpda, max_size: int, states: tuple[str, ...] | None = None) -> Iterator[Configuration]:
+def all_configurations(m: Mpda, max_size: int) -> Iterator[Configuration]:
     """Every configuration of size at most max_size, ordered by
     (state, size, stack words)."""
-    if states is None:
-        states = tuple(sorted(m.states))
-    for state in states:
+    for state in sorted(m.states):
         for total in range(max_size + 1):
             batch = []
             for lens in _compositions(total, m.stack_count):

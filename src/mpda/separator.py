@@ -37,14 +37,6 @@ class CheckFailure:
     example: Configuration
 
 
-@dataclass
-class SeparatorCertificate:
-    separator: RegSet
-
-    def verify(self, m: Mpda, L: RegSet, K: RegSet) -> bool:
-        return check_separator(m, L, K, self.separator) is None
-
-
 def check_separator(m: Mpda, L: RegSet, K: RegSet, M: RegSet) -> CheckFailure | None:
     """None when M certifies that no member of L reaches K; otherwise the
     failed condition with a counterexample."""
@@ -162,14 +154,13 @@ def decide_separator(m: Mpda, L: RegSet, K: RegSet) -> Verdict:
     Interleaves positive rounds (oracle runs from ever-larger members of L
     with growing budgets) with negative rounds (predecessor fixpoint first,
     then canonical candidate separators).  An "unreachable" verdict carries
-    a `SeparatorCertificate`; the verdict is "unknown", with budget
-    "rounds", when the last round ends undecided."""
+    the separating `RegSet` as its `certificate`; the verdict is "unknown",
+    with budget "rounds", when the last round ends undecided."""
     base_size = 1
     for comp in K.components.values():
         base_size = max(base_size, max((len(n.states) for n in comp.nfas), default=1))
     tried_sources: set[Configuration] = set()
     candidates = candidate_separators(m)
-    fixpoint_done = False
     for rnd in range(1, ROUNDS + 1):
         # positive: explore from small members of L
         src_cap = rnd + 1
@@ -187,15 +178,14 @@ def decide_separator(m: Mpda, L: RegSet, K: RegSet) -> Verdict:
                 tried_sources.add(s)  # settled for good; retry the rest with bigger budgets
         # negative: fixpoint once, then candidate separators
         try:
-            if not fixpoint_done:
-                fixpoint_done = True
+            if rnd == 1:
                 fp = backward_fixpoint(m, K, FIXPOINT_ROUNDS)
                 if fp.converged and is_empty(intersect(L, fp.result)):
-                    return Verdict("unreachable", certificate=SeparatorCertificate(fp.result))
+                    return Verdict("unreachable", certificate=fp.result)
             else:
                 for cand in itertools.islice(candidates, CANDIDATES_PER_ROUND):
                     if check_separator(m, L, K, cand) is None:
-                        return Verdict("unreachable", certificate=SeparatorCertificate(cand))
+                        return Verdict("unreachable", certificate=cand)
         except TooLarge:
             pass  # negative side stalled; keep trying the positive side
     return Verdict("unknown", budget="rounds")

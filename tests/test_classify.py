@@ -3,9 +3,11 @@ import random
 import pytest
 
 from mpda.classify import (
+    NormResult,
     NotStronglyNormed,
     NotWeak,
     cancel_table,
+    canceling_sequences,
     check_cancel_table,
     is_normed,
     is_strongly_normed,
@@ -15,6 +17,52 @@ from mpda.gadgets import anbncn, expo, nonreg_forward
 from mpda.model import Configuration, Mpda, StackSymbol, TransitionRule
 
 from helpers import random_weak_mpda
+
+
+def eager_fragments(table):
+    """Every canceling sequence flattened up front: the rule for (q, X), then
+    the fragment of each symbol it pushes, stack by stack, top first."""
+    fragments = {}
+
+    def fragment(key):
+        if key in fragments:
+            return fragments[key]
+        r = table[key]
+        frag = [r]
+        for w in r.push:
+            for sym in w:
+                frag.extend(fragment((key[0], sym)))
+        fragments[key] = tuple(frag)
+        return fragments[key]
+
+    for key in table:
+        fragment(key)
+    return fragments
+
+
+def pinned_machines():
+    """expo:2..12 and 50 seeded strongly normed machines with 1-3 stacks.
+    Each in-place eraser the generator adds, except those of the first
+    declared symbol, is made to push one to three symbols declared before
+    the symbol it pops, and the rules are shuffled, so the chosen erasing
+    rules push words whose order matters."""
+    yield from (expo(n).mpda for n in range(2, 13))
+    rng = random.Random(2027)
+    for _ in range(50):
+        m = random_weak_mpda(rng, stacks=rng.randint(1, 3), rhs_cap=3, strongly_normed=True)
+        symbols = [sym for alpha in m.alphabets for sym in alpha]
+        rules = []
+        for r in m.rules:
+            below = symbols[:symbols.index(r.pop)]
+            if not r.changes_state and r.rhs_size == 0 and below:
+                push = [[] for _ in m.alphabets]
+                for sym in rng.choices(below, k=rng.randint(1, 3)):
+                    push[sym.stack].append(sym)
+                r = TransitionRule(r.src, r.pop, r.dst, tuple(map(tuple, push)))
+            if r not in rules:
+                rules.append(r)
+        rng.shuffle(rules)
+        yield Mpda(m.states, m.alphabets, tuple(rules))
 
 
 def simple(rules_desc, states=("q0", "q1")):
@@ -77,11 +125,31 @@ class TestStrongNormedness:
 
         inst = expo(4)
         m = inst.mpda
-        table = cancel_table(m)
+        expand = canceling_sequences(cancel_table(m))
         x1, x2 = m.symbol("X1"), m.symbol("X2")
         start = Configuration("q", ((x1, x2),))
-        end = replay(m, Witness(start, table[("q", x1)]))
+        end = replay(m, Witness(start, expand("q", x1)))
         assert end == Configuration("q", ((x2,),))
+
+    def test_table_holds_one_erasing_rule_per_pair(self):
+        for m in pinned_machines():
+            table = cancel_table(m)
+            assert set(table) == {(q, sym) for q in m.states for alpha in m.alphabets for sym in alpha}
+            for (q, sym), rule in table.items():
+                assert isinstance(rule, TransitionRule)
+                assert rule.src == rule.dst == q and rule.pop == sym
+
+    def test_expansion_matches_eager_flattening(self):
+        nested = 0
+        for m in pinned_machines():
+            table = cancel_table(m)
+            reference = eager_fragments(table)
+            expand = canceling_sequences(table)
+            for q, sym in table:
+                assert expand(q, sym) == reference[(q, sym)]
+            check_cancel_table(m, table)
+            nested += sum(len(set(w)) > 1 for rule in table.values() for w in rule.push)
+        assert nested > 0  # some chosen rule pushes two distinct symbols on one stack
 
     def test_cancel_table_on_random_instances(self):
         rng = random.Random(11)
@@ -97,6 +165,17 @@ class TestStrongNormedness:
 
 
 class TestNormedness:
+    def test_strongly_normed_runs_no_search(self, monkeypatch):
+        import mpda.wqo
+
+        calls = []
+        monkeypatch.setattr(mpda.wqo, "decide_wqo", lambda *a: calls.append(a) or True)
+        rng = random.Random(13)
+        machines = [expo(5).mpda] + [random_weak_mpda(rng, strongly_normed=True) for _ in range(20)]
+        for m in machines:
+            assert is_normed(m) == NormResult(True, None)
+        assert calls == []
+
     def test_anbncn_not_normed(self):
         res = is_normed(anbncn().mpda)
         assert not res.normed

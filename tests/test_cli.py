@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mpda
 from mpda import formats
 from mpda.cli import main
 from mpda.gadgets import anbncn
@@ -268,6 +273,48 @@ class TestExitCodes:
         assert code == 3 and "integer" in record["error"]
         code, record, _ = run(capsys, "regset", str(workdir / "machine.mpda"), "member")
         assert code == 3
+
+    def test_negative_budgets_and_counts_exit_3(self, workdir, tmp_path, capsys):
+        run(capsys, "gen", "expo:3", "--out", str(tmp_path / "e"))
+        expo_m, anbncn_m = str(tmp_path / "e" / "machine.mpda"), str(workdir / "machine.mpda")
+        spec = tmp_path / "counters.txt"
+        spec.write_text("source: -1 2\ntarget: 0 2\nrule 1 : 0 1\n")
+        for argv, named in (
+            (["reach", anbncn_m, "--from", "q1 : X D |", "--to", "q2 : |", "--method", "oracle", "--max-explored", "-1"],
+             "--max-explored"),
+            (["reach", expo_m, "--from", "q : X1", "--to", "q :", "--method", "marked", "--src-cap", "-1"], "--src-cap"),
+            (["reach", expo_m, "--from", "q : X1", "--to", "q :", "--method", "marked", "--tgt-cap", "-1"], "--tgt-cap"),
+            (["reach", anbncn_m, "--from", "q1 : X D |", "--to", "q2 : |", "--method", "oracle", "--max-size", "-2"],
+             "--max-size"),
+            (["regset", anbncn_m, "enumerate", str(workdir / "target.regset"), "-1"], "size bound"),
+            (["regset", anbncn_m, "complement", str(workdir / "target.regset"), "--budget", "-3"], "--budget"),
+            (["gen", "comm-free", "--out", str(tmp_path / "c"), "--spec", str(spec)], "counter spec line 1"),
+        ):
+            code, record, _ = run(capsys, *argv)
+            assert code == 3 and named in record["error"] and "non-negative" in record["error"], argv
+        code, record, _ = run(capsys, "reach", anbncn_m, "--from", "q1 : X D |", "--to", "q2 : |",
+                              "--method", "oracle", "--max-explored", "0")
+        assert code == 2 and record["budget"] == "max-explored"
+
+    def test_closed_stdout_exits_141_quietly(self, tmp_path, capsys):
+        # more than a pipe buffer of members, and the reader closes its end
+        # before reading, as `| head` does once it has its lines
+        run(capsys, "gen", "expo:4", "--out", str(tmp_path))
+        every_word = tmp_path / "all.regset"
+        every_word.write_text(
+            "regset {\n  state q {\n"
+            "    nfa 1 { states: s ; initial: s ; edge s X1 s ; edge s X2 s ; edge s X3 s ; edge s X4 s }\n"
+            "    accept: (s)\n  }\n}\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(mpda.__file__).parents[1])}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mpda.cli", "regset", str(tmp_path / "machine.mpda"), "enumerate", str(every_word), "7"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 141
+        assert err == b""
 
     def test_usage_errors_exit_3_with_a_record(self, workdir, capsys):
         for argv in (
