@@ -1,7 +1,9 @@
 """Reachability toolkit for multi-pushdown systems with weak control."""
 
 from .model import (
+    Cancel,
     Configuration,
+    InvalidFragment,
     InvalidWitness,
     Mpda,
     MpdaError,
@@ -13,6 +15,8 @@ from .model import (
     Witness,
     bf_higman_leq,
     descendant_forest,
+    expand,
+    flat_length,
     higman_leq,
     relevant_occurrences,
     replay,
@@ -45,7 +49,7 @@ from .regsets import (
     singleton,
     union,
 )
-from .classify import is_normed, is_strongly_normed, is_weak, cancel_table, canceling_sequences
+from .classify import is_normed, is_strongly_normed, is_weak, cancel_table
 from .oracle import OracleBudget, bfs_reach, is_fully_active, shortest_path_length, shrink_source
 from .marked import decide_marked, decide_regreg, mk_subwords, reach_marked, reconstruct
 from .wqo import colored_leq, colored_successors, decide_wqo, reach_wqo

@@ -5,16 +5,15 @@ normed          every configuration can be emptied (possibly changing state)
 strongly normed every configuration can be emptied without changing state
 
 Strong normedness comes with a cancel table, one erasing rule per state and
-symbol; `canceling_sequences` expands it into the rules that remove a topmost
-X in place together with everything it spawns.
+symbol: the fragments of the macro steps `cancel q X` of a witness, which
+remove a topmost X in place together with everything it spawns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
-from .model import Configuration, Mpda, StackSymbol, TransitionRule, Witness, replay
+from .model import Cancel, Configuration, Mpda, StackSymbol, TransitionRule, Witness, expand, replay
 
 
 class NotWeak(Exception):
@@ -120,33 +119,16 @@ def cancel_table(m: Mpda) -> CancelTable:
     return res.cancel
 
 
-def canceling_sequences(table: CancelTable) -> Callable[[str, StackSymbol], tuple[TransitionRule, ...]]:
-    """`expand(q, X)`: the rules that erase a topmost X in state q with all it
-    spawns: the table's rule for (q, X), then the sequence of each symbol that
-    rule pushes, stack by stack, top first.  Memoized per `expand`."""
-    memo: dict[tuple[str, StackSymbol], tuple[TransitionRule, ...]] = {}
-
-    def expand(q: str, sym: StackSymbol) -> tuple[TransitionRule, ...]:
-        if (q, sym) not in memo:
-            rule = table[(q, sym)]
-            flat = [rule]
-            for w in rule.push:
-                for pushed in w:
-                    flat += expand(q, pushed)
-            memo[(q, sym)] = tuple(flat)
-        return memo[(q, sym)]
-
-    return expand
-
-
 def check_cancel_table(m: Mpda, table: CancelTable) -> None:
-    """Replay each canceling sequence on a lone symbol; require an empty end."""
-    expand = canceling_sequences(table)
+    """Replay the flat expansion of each `cancel q X` on a lone X; require an
+    empty end."""
+    fragments = tuple(table.values())
     for q, sym in table:
         stacks = tuple(
             (sym,) if i == sym.stack else () for i in range(m.stack_count)
         )
-        end = replay(m, Witness(Configuration(q, stacks), expand(q, sym)))
+        flat = expand(Witness(Configuration(q, stacks), (Cancel(q, sym),), fragments))
+        end = replay(m, flat)
         if end != m.empty_configuration(q):
             raise AssertionError(f"canceling sequence for ({q}, {sym.name}) does not erase: ends at {end}")
 

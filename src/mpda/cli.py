@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import classify as cls
 from . import formats, gadgets, marked, oracle, regsets, separator, wqo
-from .model import Configuration, Mpda, MpdaError, Verdict, replay
+from .model import Configuration, Mpda, MpdaError, Verdict, flat_length, replay
 
 
 class CliError(Exception):
@@ -218,8 +218,10 @@ def cmd_reach(args) -> int:
         record["budget"] = budget
         summary += f"; {budget} budget ran out"
     if verdict.witness is not None:
-        record["witness_length"] = len(verdict.witness.steps)
-        summary += f"; witness of length {len(verdict.witness.steps)}"
+        # the length of the flat run; a marked witness writes fewer steps
+        record["witness_length"] = flat_length(verdict.witness)
+        record["witness_steps"] = len(verdict.witness.steps)
+        summary += f"; witness of length {record['witness_length']}"
         if not isinstance(src, Configuration):
             record["source"] = str(verdict.witness.start)
         if args.witness:
@@ -343,11 +345,20 @@ def cmd_pre(args) -> int:
 
 # ------------------------------------------------------------------- shrink
 
+# shrinking builds every configuration of the flat run, about 4 KB a step
+SHRINK_MAX_FLAT_STEPS = 100_000
+
+
 def cmd_shrink(args) -> int:
     m = _load_mpda(args.machine)
     w = formats.parse_witness(_read(args.witness), m)
     L = formats.parse_regset(_read(args.set), m)
     replay(m, w)  # validate before shrinking
+    if w.fragments and (length := flat_length(w)) > SHRINK_MAX_FLAT_STEPS:
+        raise CliError(
+            f"the witness stands for a run of {length} steps; "
+            f"shrink expands it and takes at most {SHRINK_MAX_FLAT_STEPS}"
+        )
     shrunk = oracle.shrink_source(m, w, L)
     record = {
         "command": "shrink",

@@ -8,6 +8,7 @@ line, tokens are whitespace-separated, and '{', '}', '(', ')', '|', ':' and
 from __future__ import annotations
 
 from .model import (
+    Cancel,
     Configuration,
     Mpda,
     StackSymbol,
@@ -265,12 +266,29 @@ def serialize_configuration(c: Configuration) -> str:
 # ---------------------------------------------------------------- witnesses
 
 def parse_witness(text: str, m: Mpda) -> Witness:
-    """A witness file: a configuration literal, then one declared rule per line."""
+    """A witness file: a configuration literal, then one line per fragment
+    definition, `define <rule line>`, and per step: a rule line or a macro
+    step `cancel <state> <symbol>`.  Checks that every rule is declared by
+    the machine, that no (state, symbol) is defined twice and that every
+    `cancel` has a definition; `replay` checks the rest."""
     start: Configuration | None = None
-    steps: list[TransitionRule] = []
+    steps: list[TransitionRule | Cancel] = []
+    fragments: dict[tuple[str, StackSymbol], TransitionRule] = {}
+    cancels: dict[Cancel, int] = {}  # the line of each macro step's first use
     # the machine's own rule objects by the tokens of a line; each other line is parsed once
     by_tokens = {tuple(str(r).split()): r for r in m.rules}
     sym_by_name = {s.name: s for alpha in m.alphabets for s in alpha}
+
+    def declared(toks: tuple[str, ...], lineno: int) -> TransitionRule:
+        rule = by_tokens.get(toks)
+        if rule is None:
+            parsed = _parse_rule_tokens(list(toks), lineno, m.stack_count, sym_by_name)
+            rule = next((r for r in m.rules if r == parsed), None)
+            if rule is None:
+                raise ParseError(lineno, f"rule not declared by the machine: {parsed}")
+            by_tokens[toks] = rule
+        return rule
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).strip()
         if not line:
@@ -278,22 +296,39 @@ def parse_witness(text: str, m: Mpda) -> Witness:
         if start is None:
             start = parse_configuration(line, m, lineno)
             continue
-        rule = by_tokens.get(toks := tuple(line.split()))
-        if rule is None:
-            parsed = _parse_rule_tokens(list(toks), lineno, m.stack_count, sym_by_name)
-            rule = next((r for r in m.rules if r == parsed), None)
-            if rule is None:
-                raise ParseError(lineno, f"rule not declared by the machine: {parsed}")
-            by_tokens[toks] = rule
-        steps.append(rule)
+        toks = tuple(line.split())
+        rule = by_tokens.get(toks)
+        if rule is not None:
+            steps.append(rule)
+        elif toks[0] == "define":
+            rule = declared(toks[1:], lineno)
+            if (rule.src, rule.pop) in fragments:
+                raise ParseError(lineno, f"a second definition for cancel {rule.src} {rule.pop.name}")
+            fragments[(rule.src, rule.pop)] = rule
+        elif toks[0] == "cancel":
+            if len(toks) != 3:
+                raise ParseError(lineno, "expected 'cancel <state> <symbol>'")
+            if toks[1] not in m.states:
+                raise ParseError(lineno, f"unknown state {toks[1]!r}")
+            if toks[2] not in sym_by_name:
+                raise ParseError(lineno, f"unknown symbol {toks[2]!r}")
+            step = Cancel(toks[1], sym_by_name[toks[2]])
+            cancels.setdefault(step, lineno)
+            steps.append(step)
+        else:
+            steps.append(declared(toks, lineno))
     if start is None:
         raise ParseError(1, "empty witness file")
-    return Witness(start, tuple(steps))
+    for step, lineno in cancels.items():
+        if step not in fragments:
+            raise ParseError(lineno, f"no definition for {step}")
+    return Witness(start, tuple(steps), tuple(fragments.values()))
 
 
 def serialize_witness(w: Witness) -> str:
     lines = [serialize_configuration(w.start)]
-    # each distinct rule is rendered once; keyed by identity, since a rule's
+    lines += [f"define {r}" for r in w.fragments]
+    # each distinct step is rendered once; keyed by identity, since a rule's
     # own hash runs over its symbols in Python
     rendered: dict[int, str] = {}
     for r in w.steps:

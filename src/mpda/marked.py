@@ -5,8 +5,8 @@ and marking every earlier position; marks flag symbols that are buried under
 deleted material and must themselves disappear later.  Searching over marked
 configurations of bounded size is complete because sizes never decrease along
 state-preserving marked steps and drop by at most one at state changes.
-Deleted symbols are re-inserted as concrete canceling sequences when a
-witness is rebuilt.
+Deleted symbols come back as macro steps `cancel q X` when a witness is
+rebuilt, defined by the cancel table.
 """
 
 from __future__ import annotations
@@ -14,10 +14,12 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .classify import cancel_table, canceling_sequences, require_weak
+from .classify import CancelTable, cancel_table, require_weak
 from .model import (
     AnnotatedSymbol,
+    Cancel,
     CompiledMpda,
     Configuration,
     Mpda,
@@ -89,15 +91,24 @@ def subtransitions_for(rule: TransitionRule, lhs_marked: bool, stack_count: int)
     return tuple(out)
 
 
-def marked_machine(m: Mpda) -> CompiledMpda:
+class MarkedMachine(NamedTuple):
+    """The marked abstraction of a machine, with the machine's cancel table,
+    which defines the macro steps of the witnesses rebuilt from it."""
+
+    machine: CompiledMpda
+    cancel: CancelTable
+
+
+def marked_machine(m: Mpda) -> MarkedMachine:
     """The marked abstraction of m: a rule popping an entry with mark b
     fires as each of its `subtransitions_for(rule, b)`, labeled with that
     subtransition.  Raises NotWeak or NotStronglyNormed for machines the
     abstraction is not complete for."""
     require_weak(m)
-    cancel_table(m)  # raises NotStronglyNormed
+    table = cancel_table(m)  # raises NotStronglyNormed
     k = m.stack_count
-    return annotated_machine(m, lambda rule, bit: ((st, st.pushes) for st in subtransitions_for(rule, bit, k)))
+    cm = annotated_machine(m, lambda rule, bit: ((st, st.pushes) for st in subtransitions_for(rule, bit, k)))
+    return MarkedMachine(cm, table)
 
 
 def marked_subconfigurations(c: Configuration, max_size: int):
@@ -121,7 +132,7 @@ def decide_marked(m: Mpda, s: Configuration, t: Configuration) -> MarkedSearchRe
 
     Breadth-first search over the nodes of `marked_machine(m)` of size at
     most size(t) + |states|, seeded with every marked subconfiguration of s."""
-    cm = m.compiled(marked_machine)
+    cm = m.compiled(marked_machine).machine
     bound = t.size + len(m.states)
 
     def expand(node: tuple):
@@ -144,14 +155,17 @@ def _coloring_for(word: Word, target: MWord) -> frozenset[int]:
 
 
 def reconstruct(m: Mpda, s: Configuration, result: MarkedSearchResult) -> Witness:
-    """Expand a marked path from s into a concrete witness.
+    """Turn a marked path from s into a concrete witness.
 
     Deleted symbols are kept as colored occurrences of the running concrete
-    configuration and erased with canceling sequences whenever they surface.
-    The stacks are lists of entries with the top at the end."""
+    configuration.  Whenever one surfaces as a top X in state q, the witness
+    takes the macro step `cancel q X`, and its fragments are the cancel
+    table's rules for those steps and, transitively, for all they push, in
+    the table's order.  The stacks are lists of entries with the top at the
+    end."""
     if not result.reachable or result.origin is None:
         raise ReconstructionFailed("no marked path to expand")
-    expand = canceling_sequences(cancel_table(m))
+    table = m.compiled(marked_machine).cancel
 
     def colored(words: tuple[Word, ...], marked: tuple[MWord, ...]) -> tuple[MWord, ...]:
         """`words` with the positions that their marked subwords delete colored."""
@@ -160,40 +174,40 @@ def reconstruct(m: Mpda, s: Configuration, result: MarkedSearchResult) -> Witnes
 
     state = s.state
     stacks = [list(reversed(w)) for w in colored(s.stacks, result.origin.stacks)]
-    fired: list[TransitionRule] = []
-
-    def run_rule(rule: TransitionRule, pushes: tuple[MWord, ...]) -> None:
-        nonlocal state
-        stack = stacks[rule.pop.stack]
-        if state != rule.src or not stack or stack[-1].base != rule.pop:
-            raise ReconstructionFailed(f"rule not enabled while expanding: {rule}")
-        stack.pop()
-        for pushed_on, word in zip(stacks, pushes):
-            pushed_on += reversed(word)
-        state = rule.dst
-        fired.append(rule)
-
+    fired: list[TransitionRule | Cancel] = []
     # each round erases one colored top or fires one marked step, so it ends
     queue = deque(result.steps)
     while True:
         colored_top = next((w[-1].base for w in stacks if w and w[-1].marked), None)
         if colored_top is not None:
-            # the canceling sequence erases the top and all it spawns, in place
-            erase = expand(state, colored_top)
-            run_rule(erase[0], ((),) * m.stack_count)
-            fired.extend(erase[1:])
+            stacks[colored_top.stack].pop()
+            fired.append(Cancel(state, colored_top))
             continue
         if not queue:
             break
         st = queue.popleft()
-        run_rule(st.origin, colored(st.origin.push, st.pushes))
+        rule = st.origin
+        stack = stacks[rule.pop.stack]
+        if state != rule.src or not stack or stack[-1].base != rule.pop:
+            raise ReconstructionFailed(f"rule not enabled while expanding: {rule}")
+        stack.pop()
+        for pushed_on, word in zip(stacks, colored(rule.push, st.pushes)):
+            pushed_on += reversed(word)
+        state = rule.dst
+        fired.append(rule)
 
     if any(e.marked for w in stacks for e in w):
         raise ReconstructionFailed("colored material left buried at the end")
     end = Configuration(state, tuple(tuple(e.base for e in reversed(w)) for w in stacks))
-    witness = Witness(s, tuple(fired))
+    # the fixpoint chose each rule after the rules of all it pushes, so one
+    # pass against the table's order closes `needed` under pushing
+    needed = {step for step in fired if step.__class__ is Cancel}
+    for q, sym in reversed(table):
+        if (q, sym) in needed:
+            needed.update((q, pushed) for w in table[(q, sym)].push for pushed in w)
+    witness = Witness(s, tuple(fired), tuple(r for key, r in table.items() if key in needed))
     if replay(m, witness) != end:
-        raise ReconstructionFailed("expanded witness does not replay")
+        raise ReconstructionFailed("witness does not replay")
     return witness
 
 

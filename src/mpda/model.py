@@ -11,7 +11,9 @@ import itertools
 import operator
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, Iterable, Iterator, NamedTuple
+from typing import Any, Callable, Hashable, Iterable, Iterator, NamedTuple, TypeVar
+
+_Form = TypeVar("_Form")
 
 
 class MpdaError(Exception):
@@ -27,9 +29,19 @@ class NotEnabled(MpdaError):
 
 
 class InvalidWitness(MpdaError):
+    """A witness step that does not fire; `index` counts steps."""
+
+    what = "step {} is not enabled"
+
     def __init__(self, index: int, reason: str = ""):
         self.index = index
-        super().__init__(f"witness step {index} is not enabled" + (f": {reason}" if reason else ""))
+        super().__init__("witness " + self.what.format(index) + (f": {reason}" if reason else ""))
+
+
+class InvalidFragment(InvalidWitness):
+    """A fragment definition that `replay` rejects; `index` counts fragments."""
+
+    what = "fragment {} is invalid"
 
 
 _FORBIDDEN = set(" \t|:#()")
@@ -129,7 +141,7 @@ class Mpda:
         except KeyError:
             raise MpdaError(f"unknown symbol {name!r}") from None
 
-    def compiled(self, abstraction: Callable[["Mpda"], "CompiledMpda"] | None = None) -> "CompiledMpda":
+    def compiled(self, abstraction: Callable[["Mpda"], _Form] | None = None) -> "CompiledMpda | _Form":
         """The machine over integer ids, or `abstraction(self)` when given.
         Built on first use and kept with the machine, so repeated searches on
         one machine share it."""
@@ -271,12 +283,38 @@ def annotate(c: Configuration, colored: bool = False) -> Configuration:
     return Configuration(c.state, tuple(tuple(AnnotatedSymbol(s, colored) for s in w) for w in c.stacks))
 
 
+class Cancel(NamedTuple):
+    """The macro step `cancel q X`: erase a topmost X in state q together with
+    all it spawns, by the fragment a witness defines for (q, X).  Equal to the
+    key `(q, X)`.  Its net effect is the erasing rule `q X -> q` that `src`,
+    `pop`, `dst` and `push` spell, so `replay` fires it as that rule."""
+
+    src: str
+    pop: StackSymbol
+
+    @property
+    def dst(self) -> str:
+        return self.src
+
+    @property
+    def push(self) -> tuple:
+        return ()
+
+    def __str__(self) -> str:
+        return f"cancel {self.src} {self.pop.name}"
+
+
 @dataclass(frozen=True)
 class Witness:
-    """A replayable path: a start configuration and the rules fired, in order."""
+    """A replayable path: a start configuration and the steps fired, in
+    order.  A step is a rule or a macro step `Cancel(q, X)`; `fragments`
+    defines the macro steps, one state-preserving rule popping X per (q, X).
+    Expanding `cancel q X` fires that rule, then the expansion of each
+    symbol it pushes, stack by stack, top first (`expand`)."""
 
     start: Configuration
-    steps: tuple[TransitionRule, ...]
+    steps: tuple[TransitionRule | Cancel, ...]
+    fragments: tuple[TransitionRule, ...] = ()
 
 
 class OccurrenceId(NamedTuple):
@@ -394,12 +432,64 @@ def search(roots: Iterable[Hashable], expand: Callable[[Any], Iterable[tuple[Any
                 return found(child)
 
 
+def _fragments(w: Witness) -> dict[tuple[str, StackSymbol], TransitionRule]:
+    """The fragments of w by (q, X), each after the fragments of the symbols
+    it pushes.  InvalidFragment unless each is a rule with src == dst, no
+    (q, X) is defined twice, every symbol a fragment pushes has a fragment
+    in its state, and no fragment depends on itself through the symbols it
+    pushes.  Linear in the size of the fragments."""
+    by_key: dict[tuple[str, StackSymbol], TransitionRule] = {}
+    for i, r in enumerate(w.fragments):
+        if r.changes_state:
+            raise InvalidFragment(i, f"{r} changes state")
+        if (r.src, r.pop) in by_key:
+            raise InvalidFragment(i, f"a second definition for cancel {r.src} {r.pop.name}")
+        by_key[(r.src, r.pop)] = r
+    # Kahn's order: a fragment is ready once the fragments of all it pushes are
+    users: dict[tuple[str, StackSymbol], list] = {key: [] for key in by_key}
+    waiting = {}
+    for i, (key, r) in enumerate(by_key.items()):
+        for word in r.push:
+            for sym in word:
+                if (r.src, sym) not in users:
+                    raise InvalidFragment(i, f"{r} pushes {sym.name}, which no fragment defines in state {r.src}")
+                users[(r.src, sym)].append(key)
+        waiting[key] = r.rhs_size
+    ready = [key for key, n in waiting.items() if n == 0]
+    ordered = {}
+    while ready:
+        key = ready.pop()
+        ordered[key] = by_key[key]
+        for user in users[key]:
+            waiting[user] -= 1
+            if not waiting[user]:
+                ready.append(user)
+    if len(ordered) < len(by_key):
+        i = next(i for i, key in enumerate(by_key) if key not in ordered)
+        raise InvalidFragment(i, "the fragments depend on each other in a cycle")
+    return ordered
+
+
+def _defined(i: int, step: Cancel, defined: dict) -> None:
+    if step not in defined:
+        raise InvalidWitness(i, f"no fragment defines {step}")
+
+
 def replay(m: Mpda, w: Witness) -> Configuration:
     """The end of the witness, or InvalidWitness at the first step that is
-    not enabled.  The stacks are lists with the top at the end."""
+    not enabled.  The fragments are checked once (InvalidFragment, see
+    `_fragments`), then a `cancel q X` fires as one pop of a topmost X in
+    state q.  That is sound by induction over the acyclic fragments: the
+    fragment's rule pops X and keeps q, and the expansion of each symbol it
+    pushes, taken top first, pops exactly the material that symbol spawned,
+    so the flat run fires step by step and ends where the pop does.  The
+    stacks are lists with the top at the end."""
+    defined = _fragments(w)
     state = w.start.state
     stacks = [list(reversed(word)) for word in w.start.stacks]
     for i, r in enumerate(w.steps):
+        if r.__class__ is Cancel:
+            _defined(i, r, defined)
         pop = r.pop
         if state != r.src:
             raise InvalidWitness(i, f"state {state} != {r.src}")
@@ -415,8 +505,48 @@ def replay(m: Mpda, w: Witness) -> Configuration:
     return Configuration(state, tuple(tuple(reversed(stack)) for stack in stacks))
 
 
+def expand(w: Witness) -> Witness:
+    """The flat witness of w: every `cancel q X` replaced by the rule its
+    fragment defines, then the expansion of each symbol that rule pushes,
+    stack by stack, top first.  A flat witness is returned as it is, so the
+    occurrence functions, which call each other, expand a witness once."""
+    if not w.fragments and not any(r.__class__ is Cancel for r in w.steps):
+        return w
+    flat: dict[tuple[str, StackSymbol], list[TransitionRule]] = {}
+    for key, r in _fragments(w).items():
+        seq = [r]
+        for word in r.push:
+            for sym in word:
+                seq += flat[(r.src, sym)]
+        flat[key] = seq
+    steps: list[TransitionRule] = []
+    for i, r in enumerate(w.steps):
+        if r.__class__ is Cancel:
+            _defined(i, r, flat)
+            steps += flat[r]
+        else:
+            steps.append(r)
+    return Witness(w.start, tuple(steps))
+
+
+def flat_length(w: Witness) -> int:
+    """The number of steps of `expand(w)`, counted without expanding."""
+    length: dict[tuple[str, StackSymbol], int] = {}
+    for key, r in _fragments(w).items():
+        length[key] = 1 + sum(length[(r.src, sym)] for word in r.push for sym in word)
+    total = 0
+    for i, r in enumerate(w.steps):
+        if r.__class__ is Cancel:
+            _defined(i, r, length)
+            total += length[r]
+        else:
+            total += 1
+    return total
+
+
 def trace(m: Mpda, w: Witness) -> list[Configuration]:
-    """All configurations visited by the witness, start included."""
+    """All configurations visited by the flat witness of w, start included."""
+    w = expand(w)
     cs = [w.start]
     for i, r in enumerate(w.steps):
         try:
@@ -439,8 +569,10 @@ def descendant_forest(m: Mpda, w: Witness) -> dict[OccurrenceId, tuple[Occurrenc
 
     The occurrence popped at step t parents all fresh occurrences of the next
     configuration; every surviving occurrence parents its shifted copy.
-    Roots are exactly the occurrences of the start configuration.
+    Roots are exactly the occurrences of the start configuration.  Steps are
+    those of the flat witness `expand(w)`.
     """
+    w = expand(w)
     configs = trace(m, w)
     children: dict[OccurrenceId, list[OccurrenceId]] = {}
     for t, c in enumerate(configs):
@@ -466,17 +598,19 @@ def parent_map(forest: dict[OccurrenceId, tuple[OccurrenceId, ...]]) -> dict[Occ
 
 
 def involved_occurrences(m: Mpda, w: Witness) -> list[OccurrenceId]:
-    """The occurrence consumed by each step, in step order."""
-    return [OccurrenceId(t, r.pop.stack, 0) for t, r in enumerate(w.steps)]
+    """The occurrence consumed by each step of `expand(w)`, in step order."""
+    return [OccurrenceId(t, r.pop.stack, 0) for t, r in enumerate(expand(w).steps)]
 
 
 def relevant_occurrences(m: Mpda, w: Witness) -> set[OccurrenceId]:
-    """Occurrences with a descendant in the final configuration or in a
-    state-changing step.  Closed under the ancestor relation by construction."""
+    """Occurrences of `expand(w)` with a descendant in the final
+    configuration or in a state-changing step.  Closed under the ancestor
+    relation by construction."""
+    w = expand(w)
     forest = descendant_forest(m, w)
     parents = parent_map(forest)
     final_index = len(w.steps)
-    base: list[OccurrenceId] = occurrences_of(trace(m, w)[-1], final_index)
+    base: list[OccurrenceId] = occurrences_of(replay(m, w), final_index)
     for t, r in enumerate(w.steps):
         if r.changes_state:
             base.append(OccurrenceId(t, r.pop.stack, 0))

@@ -12,6 +12,7 @@ from .model import (
     Verdict,
     Witness,
     descendant_forest,
+    expand,
     occurrences_of,
     parent_map,
     relevant_occurrences,
@@ -91,7 +92,8 @@ def shortest_path_length(
 
 def is_fully_active(m: Mpda, w: Witness) -> bool:
     """Every occurrence of the start configuration has a descendant that is
-    consumed by some step of the witness."""
+    consumed by some step of the flat witness `expand(w)`."""
+    w = expand(w)
     forest = descendant_forest(m, w)
     parents = parent_map(forest)
     active_roots: set[OccurrenceId] = set()
@@ -110,7 +112,9 @@ def shrink_source(m: Mpda, w: Witness, L: RegSet) -> Configuration:
     Positions whose occurrences are irrelevant to the witness can be deleted
     without breaking reachability of the final configuration; deletions are
     chosen by pumping between repeated per-stack NFA state-set labels, and
-    membership in L is re-checked after every deletion."""
+    membership in L is re-checked after every deletion.  A macro witness
+    gives the same answer as its flat run, since `relevant_occurrences`
+    works on `expand(w)`."""
     if not member(L, w.start):
         raise SourceNotInL(f"{w.start} is not in the given set")
     relevant = relevant_occurrences(m, w)

@@ -2,7 +2,8 @@
 
 import random
 
-from mpda.model import Configuration, Mpda, StackSymbol, TransitionRule, Witness, successors
+from mpda.formats import parse_configuration, parse_mpda
+from mpda.model import Cancel, Configuration, Mpda, StackSymbol, TransitionRule, Witness, successors
 from mpda.regsets import Component, RegSet, StackNfa
 
 
@@ -114,3 +115,30 @@ def random_walk(rng: random.Random, m: Mpda, start: Configuration, max_steps: in
         rule, cur = rng.choice(succ)
         steps.append(rule)
     return Witness(start, tuple(steps))
+
+
+MACRO_MACHINE = """\
+mpda {
+  states: q p
+  stacks: 2
+  alphabet 1: A B
+  alphabet 2: C
+  rule q A -> q : B B | C
+  rule q B -> q : |
+  rule q C -> q : |
+  rule q A -> p : |
+  rule q B -> q : A |
+  rule p A -> p : |
+}
+"""
+
+
+def macro_example():
+    """A two-state machine (`MACRO_MACHINE`) and a macro witness on it: from
+    `q : A B |`, `cancel q A` by the fragment `q A -> q : B B | C`, whose
+    pushed B and C have fragments of their own, then `q B -> q`.  Its flat
+    run has five steps."""
+    m = parse_mpda(MACRO_MACHINE)
+    r = m.rules
+    a = m.symbol("A")
+    return m, Witness(parse_configuration("q : A B |", m), (Cancel("q", a), r[1]), (r[0], r[1], r[2]))

@@ -7,14 +7,13 @@ from mpda.classify import (
     NotStronglyNormed,
     NotWeak,
     cancel_table,
-    canceling_sequences,
     check_cancel_table,
     is_normed,
     is_strongly_normed,
     is_weak,
 )
 from mpda.gadgets import anbncn, expo, nonreg_forward
-from mpda.model import Configuration, Mpda, StackSymbol, TransitionRule
+from mpda.model import Cancel, Configuration, Mpda, StackSymbol, TransitionRule, Witness, expand
 
 from helpers import random_weak_mpda
 
@@ -38,6 +37,12 @@ def eager_fragments(table):
     for key in table:
         fragment(key)
     return fragments
+
+
+def expansion(m, table, q, sym):
+    """The flat steps of `cancel q X` on a lone X, under the whole table."""
+    lone = Configuration(q, tuple((sym,) if i == sym.stack else () for i in range(m.stack_count)))
+    return expand(Witness(lone, (Cancel(q, sym),), tuple(table.values()))).steps
 
 
 def pinned_machines():
@@ -125,10 +130,9 @@ class TestStrongNormedness:
 
         inst = expo(4)
         m = inst.mpda
-        expand = canceling_sequences(cancel_table(m))
         x1, x2 = m.symbol("X1"), m.symbol("X2")
         start = Configuration("q", ((x1, x2),))
-        end = replay(m, Witness(start, expand("q", x1)))
+        end = replay(m, Witness(start, expansion(m, cancel_table(m), "q", x1)))
         assert end == Configuration("q", ((x2,),))
 
     def test_table_holds_one_erasing_rule_per_pair(self):
@@ -144,9 +148,8 @@ class TestStrongNormedness:
         for m in pinned_machines():
             table = cancel_table(m)
             reference = eager_fragments(table)
-            expand = canceling_sequences(table)
             for q, sym in table:
-                assert expand(q, sym) == reference[(q, sym)]
+                assert expansion(m, table, q, sym) == reference[(q, sym)]
             check_cancel_table(m, table)
             nested += sum(len(set(w)) > 1 for rule in table.values() for w in rule.push)
         assert nested > 0  # some chosen rule pushes two distinct symbols on one stack

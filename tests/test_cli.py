@@ -8,10 +8,10 @@ import pytest
 
 import mpda
 from mpda import formats
-from mpda.cli import main
+from mpda.cli import SHRINK_MAX_FLAT_STEPS, main
 from mpda.gadgets import anbncn
 from mpda.marked import default_tgt_cap
-from mpda.model import Witness, replay
+from mpda.model import Witness, expand, replay
 from mpda.regsets import member, singleton, union
 from mpda.separator import check_separator
 from mpda.wqo import default_src_cap
@@ -199,6 +199,33 @@ class TestReach:
             "--from", "q : X1", "--to", "q : X3",
         )
         assert code == 0 and record["method"] == "marked"
+
+    def test_marked_macro_witness_expands_to_the_flat_run(self, tmp_path, capsys):
+        run(capsys, "gen", "expo:5", "--out", str(tmp_path))
+        m = formats.parse_mpda((tmp_path / "machine.mpda").read_text())
+        wfile = tmp_path / "macro.witness"
+        code, record, _ = run(
+            capsys, "reach", str(tmp_path / "machine.mpda"), "--from", "q : X1", "--to", "q : X5",
+            "--method", "marked", "--witness", str(wfile),
+        )
+        assert code == 0 and record["witness_length"] == 2 ** 5 - 2 and record["witness_steps"] == 8
+        w = formats.parse_witness(wfile.read_text(), m)
+        assert len(w.steps) == record["witness_steps"] and len(w.fragments) == 4
+        text = formats.serialize_witness(expand(w))
+        assert "define" not in text and "cancel" not in text
+        flat = formats.parse_witness(text, m)
+        assert len(flat.steps) == record["witness_length"]
+        assert replay(m, w) == replay(m, flat) == formats.parse_configuration("q : X5", m)
+
+    def test_large_expo_witness_stays_small(self, tmp_path, capsys):
+        run(capsys, "gen", "expo:20", "--out", str(tmp_path))
+        wfile = tmp_path / "run.witness"
+        code, record, _ = run(
+            capsys, "reach", str(tmp_path / "machine.mpda"), "--from", "q : X1", "--to", "q : X20",
+            "--method", "marked", "--witness", str(wfile),
+        )
+        assert code == 0 and record["witness_length"] == 2 ** 20 - 2
+        assert wfile.stat().st_size < 2048
 
     def test_bad_configuration_literal(self, workdir, capsys):
         code, record, _ = run(
@@ -456,3 +483,40 @@ class TestPreAndShrink:
         assert code == 0
         assert record["before"] == "q1 : X D | "
         assert record["removed"] == 0
+
+    def test_shrink_takes_a_macro_witness(self, tmp_path, capsys):
+        # X1 below X3 is canceled whole, so it is irrelevant and shrinks away
+        run(capsys, "gen", "expo:3", "--out", str(tmp_path))
+        mfile = str(tmp_path / "machine.mpda")
+        wfile, ffile = tmp_path / "macro.witness", tmp_path / "flat.witness"
+        code, record, _ = run(
+            capsys, "reach", mfile, "--from", "q : X1 X3", "--to", "q : X3",
+            "--method", "marked", "--witness", str(wfile),
+        )
+        assert code == 0 and record["witness_steps"] < record["witness_length"]
+        m = formats.parse_mpda(Path(mfile).read_text())
+        ffile.write_text(formats.serialize_witness(expand(formats.parse_witness(wfile.read_text(), m))))
+        sfile = tmp_path / "any.regset"
+        sfile.write_text(
+            "regset {\n  state q {\n    nfa 1 { states: s ; initial: s ; edge s X1 s ; edge s X2 s ; edge s X3 s }\n"
+            "    accept: (s)\n  }\n}\n"
+        )
+        records = []
+        for witness in (wfile, ffile):
+            code, record, _ = run(capsys, "shrink", mfile, "--witness", str(witness), "--set", str(sfile))
+            assert code == 0
+            records.append(record)
+        assert records[0] == records[1]
+        assert records[0]["after"] == "q : X3" and records[0]["removed"] == 1
+
+    def test_shrink_refuses_a_macro_witness_of_a_huge_run(self, tmp_path, capsys):
+        run(capsys, "gen", "expo:17", "--out", str(tmp_path))
+        mfile = str(tmp_path / "machine.mpda")
+        wfile = tmp_path / "macro.witness"
+        code, record, _ = run(
+            capsys, "reach", mfile, "--from", "q : X1", "--to", "q : X17",
+            "--method", "marked", "--witness", str(wfile),
+        )
+        assert code == 0 and record["witness_length"] == 2 ** 17 - 2 > SHRINK_MAX_FLAT_STEPS
+        code, record, _ = run(capsys, "shrink", mfile, "--witness", str(wfile), "--set", str(tmp_path / "target.regset"))
+        assert code == 3 and f"a run of {2 ** 17 - 2} steps" in record["error"]

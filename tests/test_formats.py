@@ -7,7 +7,7 @@ from mpda.formats import ParseError
 from mpda.gadgets import anbncn, expo, nonreg_forward
 from mpda.model import Witness
 
-from helpers import random_regset, random_walk, random_weak_mpda
+from helpers import macro_example, random_regset, random_walk, random_weak_mpda
 
 MACHINE = """\
 # the three-block counter machine
@@ -117,6 +117,32 @@ class TestWitnessFormat:
         with pytest.raises(ParseError) as ei:
             formats.parse_witness(text + "rule q1 D -> q1 : |\n", m)
         assert ei.value.line == 9
+
+
+class TestMacroWitnessFormat:
+    """`define <rule line>` and `cancel <state> <symbol>` lines."""
+
+    @pytest.mark.parametrize("edit, line, message", [
+        (("define rule q C -> q :  | ", "define rule q C -> q : | C"), 4, "rule not declared by the machine"),
+        (("define rule q C -> q :  | ", "define rule q B -> q : A |"), 4, "a second definition for cancel q B"),
+        (("define rule q A -> q : B B | C\n", ""), 4, "no definition for cancel q A"),
+        (("cancel q A", "cancel p A\ncancel q A"), 5, "no definition for cancel p A"),
+        (("cancel q A", "cancel r A"), 5, "unknown state 'r'"),
+        (("cancel q A", "cancel q A A"), 5, "expected 'cancel <state> <symbol>'"),
+    ])
+    def test_rejects(self, edit, line, message):
+        m, w = macro_example()
+        text = formats.serialize_witness(w)
+        assert edit[0] in text
+        with pytest.raises(ParseError, match=message) as ei:
+            formats.parse_witness(text.replace(edit[0], edit[1], 1), m)
+        assert ei.value.line == line
+
+    def test_definitions_after_their_use(self):
+        m, w = macro_example()
+        lines = formats.serialize_witness(w).splitlines()
+        moved = "\n".join(lines[:1] + lines[4:] + lines[1:4]) + "\n"
+        assert formats.parse_witness(moved, m) == w
 
 
 class TestRegsetFormat:

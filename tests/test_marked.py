@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -9,10 +10,12 @@ from mpda.marked import (
     decide_regreg,
     marked_subconfigurations,
     mk_subwords,
+    reach_marked,
     reconstruct,
     subtransitions_for,
 )
-from mpda.model import AnnotatedSymbol, Configuration, Mpda, StackSymbol, TransitionRule, annotate, replay, search
+from mpda.formats import serialize_witness
+from mpda.model import AnnotatedSymbol, Cancel, Configuration, Mpda, StackSymbol, TransitionRule, annotate, expand, flat_length, replay, search
 from mpda.oracle import OracleBudget, reach_config
 from mpda.regsets import singleton
 
@@ -226,7 +229,49 @@ class TestReconstruct:
         res = decide_marked(inst.mpda, inst.source, tgt)
         w = reconstruct(inst.mpda, inst.source, res)
         assert replay(inst.mpda, w) == tgt
-        assert len(w.steps) == 2 ** 6 - 2
+        assert len(expand(w).steps) == 2 ** 6 - 2
+
+    def test_expo_expands_to_the_golden_flat_witness(self):
+        inst = expo(4)
+        tgt = Configuration("q", ((inst.mpda.symbol("X4"),),))
+        w = reach_marked(inst.mpda, inst.source, tgt).witness
+        golden = (Path(__file__).parent / "golden" / "expo4-flat.witness").read_text()
+        assert serialize_witness(expand(w)) == golden
+
+    def test_expo_flat_length_without_expanding(self, monkeypatch):
+        import mpda.model
+
+        def no_expand(w):
+            raise AssertionError("expanded")
+
+        monkeypatch.setattr(mpda.model, "expand", no_expand)
+        for n in range(3, 21):
+            inst = expo(n)
+            tgt = Configuration("q", ((inst.mpda.symbol(f"X{n}"),),))
+            w = reach_marked(inst.mpda, inst.source, tgt).witness
+            # the marked path of n - 1 doubling rules, and a cancel after each
+            assert len(w.steps) == 2 * (n - 1) and len(w.fragments) == n - 1
+            assert all(isinstance(step, Cancel) for step in w.steps[1::2])
+            assert flat_length(w) == 2 ** n - 2
+            assert replay(inst.mpda, w) == tgt
+
+    def test_cancel_table_computed_once_per_machine(self, monkeypatch):
+        import mpda.classify
+
+        calls = []
+        real = mpda.classify.is_strongly_normed
+        monkeypatch.setattr(mpda.classify, "is_strongly_normed", lambda m: calls.append(m) or real(m))
+        rng = random.Random(41)
+        machines = reached = 0
+        while reached < 20:
+            m = random_weak_mpda(rng, strongly_normed=True)
+            machines += 1
+            for _ in range(3):
+                s, t = random_configuration(rng, m, 3), random_configuration(rng, m, 3)
+                reached += reach_marked(m, s, t).reachable
+        L = singleton(m, s)
+        decide_regreg(m, L, L)
+        assert len(calls) == machines
 
 
 class TestMarkedSubconfigurations:

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mpda.model import (
+    Cancel,
     Configuration,
     InputError,
+    InvalidFragment,
     InvalidWitness,
     Mpda,
     MpdaError,
@@ -17,6 +19,8 @@ from mpda.model import (
     all_configurations,
     bf_higman_leq,
     descendant_forest,
+    expand,
+    flat_length,
     higman_leq,
     involved_occurrences,
     relevant_occurrences,
@@ -27,8 +31,9 @@ from mpda.model import (
 )
 from mpda.formats import parse_witness, serialize_witness
 from mpda.gadgets import anbncn
+from mpda.oracle import is_fully_active
 
-from helpers import random_configuration, random_walk, random_weak_mpda
+from helpers import macro_example, random_configuration, random_walk, random_weak_mpda
 
 
 @pytest.fixture
@@ -120,6 +125,72 @@ class TestReplayOnLists:
             parsed = parse_witness(serialize_witness(w), m)
             assert parsed == w
             assert replay(m, parsed) == end
+
+
+class TestMacroWitness:
+    """A witness with macro steps `cancel q X`: replay checks the fragments
+    once and fires each macro step as one pop; `expand` gives the flat run."""
+
+    def test_macro_replay_matches_the_flat_run(self):
+        m, w = macro_example()
+        r = m.rules
+        flat = expand(w)
+        assert flat == Witness(w.start, (r[0], r[1], r[1], r[2], r[1]))
+        assert flat_length(w) == len(flat.steps) == 5
+        assert replay(m, w) == replay(m, flat) == trace(m, w)[-1] == cfg(m, "q", "", "")
+        assert expand(flat) is flat and flat_length(flat) == 5
+
+    def test_occurrence_functions_take_either_form(self):
+        m, w = macro_example()
+        flat = expand(w)
+        assert trace(m, w) == trace(m, flat)
+        assert descendant_forest(m, w) == descendant_forest(m, flat)
+        assert involved_occurrences(m, w) == involved_occurrences(m, flat)
+        assert relevant_occurrences(m, w) == relevant_occurrences(m, flat)
+        assert is_fully_active(m, w) == is_fully_active(m, flat)
+
+    @pytest.mark.parametrize("fragments, index, reason", [
+        ((3, 1, 2), 0, "changes state"),  # q A -> p
+        ((4, 1, 2), 1, "a second definition for cancel q B"),  # A's rule edited to pop B
+        ((0, 1), 0, "pushes C, which no fragment defines in state q"),
+        ((0, 4, 2), 0, "in a cycle"),  # A pushes B, B pushes A
+    ])
+    def test_broken_fragments(self, fragments, index, reason):
+        m, w = macro_example()
+        w = Witness(w.start, w.steps, tuple(m.rules[i] for i in fragments))
+        for check in (replay, lambda m, w: expand(w), lambda m, w: flat_length(w)):
+            with pytest.raises(InvalidFragment, match=reason) as ei:
+                check(m, w)
+            assert ei.value.index == index
+            assert isinstance(ei.value, InvalidWitness)
+
+    @pytest.mark.parametrize("steps, index, reason", [  # a name is `cancel q <name>`, a number a rule
+        (("B",), 0, "B is not on top of stack 1"),  # A is on top
+        ((3, "B"), 1, "state p != q"),
+        (("C",), 0, "C is not on top of stack 2"),
+    ])
+    def test_broken_macro_steps(self, steps, index, reason):
+        m, w = macro_example()
+        steps = tuple(Cancel("q", m.symbol(s)) if isinstance(s, str) else m.rules[s] for s in steps)
+        with pytest.raises(InvalidWitness) as ei:
+            replay(m, Witness(w.start, steps, w.fragments))
+        assert ei.value.index == index
+        assert str(ei.value) == f"witness step {index} is not enabled: {reason}"
+
+    def test_cancel_without_fragment(self):
+        m, w = macro_example()
+        bare = Witness(w.start, w.steps, w.fragments[1:])  # only B and C defined
+        for check in (replay, lambda m, w: expand(w), lambda m, w: flat_length(w)):
+            with pytest.raises(InvalidWitness, match="no fragment defines cancel q A") as ei:
+                check(m, bare)
+            assert ei.value.index == 0
+
+    def test_text_round_trip(self):
+        m, w = macro_example()
+        text = serialize_witness(w)
+        assert text.splitlines()[1:4] == ["define rule q A -> q : B B | C", "define rule q B -> q :  | ", "define rule q C -> q :  | "]
+        assert text.splitlines()[4] == "cancel q A"
+        assert parse_witness(text, m) == w
 
 
 class TestValidation:
