@@ -7,7 +7,6 @@ Stacks are stored top-first: index 0 of a stack word is the top symbol.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from collections import deque
 from dataclasses import dataclass, field
@@ -645,23 +644,6 @@ def bf_higman_leq(c1: Configuration, c2: Configuration) -> bool:
         if not higman_leq(w1[:-1], w2[:-1]):
             return False
     return True
-
-
-def words_over(alphabet: tuple[StackSymbol, ...], length: int) -> Iterator[Word]:
-    yield from itertools.product(alphabet, repeat=length)
-
-
-def all_configurations(m: Mpda, max_size: int) -> Iterator[Configuration]:
-    """Every configuration of size at most max_size, ordered by
-    (state, size, stack words)."""
-    for state in sorted(m.states):
-        for total in range(max_size + 1):
-            batch = []
-            for lens in _compositions(total, m.stack_count):
-                for words in itertools.product(*(words_over(m.alphabets[i], lens[i]) for i in range(m.stack_count))):
-                    batch.append(Configuration(state, tuple(words)))
-            batch.sort(key=lambda c: tuple(tuple(s.name for s in w) for w in c.stacks))
-            yield from batch
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

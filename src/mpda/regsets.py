@@ -77,18 +77,23 @@ class StackNfa:
 
     def coreachable(self) -> frozenset[NfaState]:
         """States reachable from the initials by any word."""
-        seen = set(self.initials)
-        todo = list(seen)
         succ: dict[NfaState, set[NfaState]] = {}
         for s, _, t in self.edges:
             succ.setdefault(s, set()).add(t)
-        while todo:
-            s = todo.pop()
-            for t in succ.get(s, ()):
-                if t not in seen:
-                    seen.add(t)
-                    todo.append(t)
-        return frozenset(seen)
+        return frozenset(_closure(succ, self.initials))
+
+
+def _closure(succ: dict, seeds: Iterable) -> set:
+    """The nodes that `succ` (node -> its successors) leads to from `seeds`,
+    the seeds included."""
+    seen = set(seeds)
+    todo = list(seen)
+    while todo:
+        for t in succ.get(todo.pop(), ()):
+            if t not in seen:
+                seen.add(t)
+                todo.append(t)
+    return seen
 
 
 @dataclass(frozen=True)
@@ -292,14 +297,7 @@ def enumerate_members(L: RegSet, max_size: int) -> Iterator[Configuration]:
             pred: dict[NfaState, set[NfaState]] = {}
             for s, _, t in nfa.edges:
                 pred.setdefault(t, set()).add(s)
-            useful = set(tup[j] for tup in comp.accept)
-            todo = list(useful)
-            while todo:
-                t = todo.pop()
-                for s in pred.get(t, ()):
-                    if s not in useful:
-                        useful.add(s)
-                        todo.append(s)
+            useful = _closure(pred, {tup[j] for tup in comp.accept})
             layers = [[((), nfa.initials)]] if nfa.initials & useful else [[]]
             for _ in range(max_size):
                 nxt = []

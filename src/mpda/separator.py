@@ -1,33 +1,31 @@
 """Unreachability certificates for strongly normed machines.
 
-A regular set M separates L from a backward-closed view of K when it
-contains K, misses L, and is closed under one-step predecessors.  The
-decider interleaves a positive search (explicit exploration from small
-members of L) with two negative strategies: iterating the predecessor
-operator on K until it converges, and a canonical enumeration of candidate
-separators built from small complete per-stack automata."""
+A regular set M separates L from K when it contains K, misses L, and is
+closed under one-step predecessors (`check_separator`).  The decider
+interleaves a positive search (oracle runs from small members of L with
+growing budgets) with one negative step: `backward_fixpoint`, a pre*
+saturation of K in the manner of Bouajjani, Esparza & Maler (CONCUR 1997)
+and Schwoon (PhD thesis, TU Munich 2002).  The saturation adds edges to one
+shared automaton per stack until nothing changes, so it always ends; its
+result contains K and is closed under predecessors, and it is exactly
+pre*(K) on one stack."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterator
 
-from .model import Configuration, Mpda, StackSymbol, Verdict, all_configurations
+from .model import Configuration, Mpda, Verdict
 from .oracle import OracleBudget, reach_regset
 from .regsets import (
-    Component,
     RegSet,
     StackNfa,
-    TooLarge,
+    _closure,
+    _union_components,
     complement,
     enumerate_members,
     intersect,
     is_empty,
-    is_subset,
-    member,
     pre_image,
-    union,
 )
 
 
@@ -82,85 +80,115 @@ def _shortest_words(nfa: StackNfa) -> dict:
     return words
 
 
-@dataclass(frozen=True)
-class FixpointResult:
-    converged: bool
-    result: RegSet
-    rounds: int
+# ----------------------------------------------------------------- pre* saturation
 
-
-def backward_fixpoint(m: Mpda, K: RegSet, max_rounds: int = 6) -> FixpointResult:
-    """Iterate M <- M + pre(M) starting from K; converged when a round adds
-    nothing new (then M is exactly the set of configurations reaching K)."""
-    cur = K
-    for rnd in range(1, max_rounds + 1):
-        pre = pre_image(m, cur)
-        if is_subset(pre, cur):
-            return FixpointResult(True, cur, rnd)
-        cur = union(cur, pre)
-    return FixpointResult(False, cur, max_rounds)
-
-
-# ----------------------------------------------------- candidate enumeration
-
-def _complete_dfas(alphabet: tuple[StackSymbol, ...], n: int) -> Iterator[StackNfa]:
-    keys = [(s, a) for s in range(n) for a in alphabet]
-    for targets in itertools.product(range(n), repeat=len(keys)):
-        edges = frozenset((s, a, t) for (s, a), t in zip(keys, targets))
-        yield StackNfa(tuple(range(n)), frozenset({0}), edges)
-
-
-def _components_of_size(m: Mpda, n: int) -> Iterator[Component | None]:
-    yield None  # no component: the state contributes nothing
-    tuples = list(itertools.product(range(n), repeat=m.stack_count))
-    for nfas in itertools.product(*(_complete_dfas(alpha, n) for alpha in m.alphabets)):
-        for k in range(1, len(tuples) + 1):
-            for accept in itertools.combinations(tuples, k):
-                yield Component(tuple(nfas), frozenset(accept))
-
-
-def candidate_separators(m: Mpda, signature_size: int = 3) -> Iterator[RegSet]:
-    """Candidate regular sets in canonical order: growing automaton size,
-    then transition tables and accepting tuples lexicographically.
-    Candidates that agree on all configurations of size <= signature_size
-    with an earlier candidate are skipped."""
-    seen_signatures: set[tuple[bool, ...]] = set()
-    probe = list(all_configurations(m, signature_size))
-    for n in itertools.count(1):
-        for assignment in itertools.product(*(_components_of_size(m, n) for _ in m.states)):
-            comps = {q: comp for q, comp in zip(m.states, assignment) if comp is not None}
-            cand = RegSet(m, comps)
-            sig = tuple(member(cand, c) for c in probe)
-            if sig in seen_signatures:
+def backward_fixpoint(m: Mpda, K: RegSet, stats: dict | None = None) -> RegSet:
+    """pre*(K) on one stack, and on more a superset that contains K and is
+    closed under `pre_image`, by saturation.  Each stack has one automaton:
+    K's nodes plus a node nu_r per rule r.  A state q has contexts, each with
+    a start set per stack (K's component at q, and one per rule from q), and
+    accepting tuples T_q.  A rule r from q to q' popping X from stack i fires
+    when each pushed w_j leads from the start sets at q' to a nonempty R_j:
+    context r then starts at R_j on each stack j != i and at nu_r on stack
+    i, with edges nu_r -X-> R_i, and T_q takes in T_q'.  Rules fire from a
+    worklist until nothing changes; no node is copied and nothing is
+    determinized.  Each context, trimmed, is one summand of the result.
+    `stats` receives the node, edge and context counts and the passes."""
+    k = m.stack_count
+    symbols = [sym for alpha in m.alphabets for sym in alpha]
+    sid = {sym: i for i, sym in enumerate(symbols)}
+    sizes = [0] * k  # nodes per stack
+    delta: list[dict[tuple[int, int], set[int]]] = [{} for _ in range(k)]  # (node, symbol id) -> nodes
+    contexts: dict[str, list[list[set[int]]]] = {q: [] for q in m.states}
+    accept: dict[str, set[tuple[int, ...]]] = {q: set() for q in m.states}
+    for q, comp in K.components.items():
+        pos = [{s: sizes[j] + n for n, s in enumerate(nfa.states)} for j, nfa in enumerate(comp.nfas)]
+        for j, (p, nfa) in enumerate(zip(pos, comp.nfas)):
+            sizes[j] += len(p)
+            for s, a, t in nfa.edges:
+                delta[j].setdefault((p[s], sid[a]), set()).add(p[t])
+        contexts[q].append([{p[s] for s in nfa.initials} for p, nfa in zip(pos, comp.nfas)])
+        accept[q] = {tuple(p[f] for p, f in zip(pos, tup)) for tup in comp.accept}
+    reaches = {q: {q} for q in m.states}
+    for _ in m.states:
+        for r in m.rules:
+            reaches[r.src] |= reaches[r.dst]
+    # a change at q alters the reads from every state that reaches q
+    upstream = {q: [n for n, r in enumerate(m.rules) if q in reaches[r.dst]] for q in m.states}
+    pushes = [tuple(tuple(sid[a] for a in w) for w in r.push) for r in m.rules]
+    fired: dict[int, tuple[int, list[set[int]]]] = {}  # rule -> (nu_r, context r)
+    pending, passes = set(range(len(m.rules))), 0
+    while pending:
+        batch, pending, passes = sorted(pending), set(), passes + 1
+        for n in batch:
+            r, i = m.rules[n], m.rules[n].pop.stack
+            reads = []
+            for j, w in enumerate(pushes[n]):
+                nodes = set().union(*(c[j] for c in contexts[r.dst]))
+                for a in w:
+                    nodes = {t for s in nodes for t in delta[j].get((s, a), ())}
+                reads.append(nodes)
+            if not all(reads):
                 continue
-            seen_signatures.add(sig)
-            yield cand
+            changed = n not in fired
+            if changed:
+                fired[n] = sizes[i], [{sizes[i]} if j == i else set() for j in range(k)]
+                contexts[r.src].append(fired[n][1])
+                sizes[i] += 1
+            nu, ctx = fired[n]
+            for j, got in enumerate(reads):
+                have = delta[i].setdefault((nu, sid[r.pop]), set()) if j == i else ctx[j]
+                changed = changed or not got <= have
+                have |= got
+            changed = changed or not accept[r.dst] <= accept[r.src]
+            accept[r.src] |= accept[r.dst]
+            if changed:
+                pending.update(upstream[r.src])
+    edges = [[(s, a, t) for (s, a), ts in d.items() for t in ts] for d in delta]
+    if stats is not None:
+        stats.update(nodes=sum(sizes), edges=sum(map(len, edges)), contexts=sum(map(len, contexts.values())), passes=passes)
+    fwd: list[dict[int, set[int]]] = [{} for _ in range(k)]
+    bwd: list[dict[int, set[int]]] = [{} for _ in range(k)]
+    for es, f, b in zip(edges, fwd, bwd):
+        for s, _, t in es:
+            f.setdefault(s, set()).add(t)
+            b.setdefault(t, set()).add(s)
+    comps = {}
+    for q, ctxs in contexts.items():
+        summands = []
+        for starts in ctxs:  # trimmed to the nodes between its start sets and the tuples they reach
+            ahead = [_closure(f, start) for f, start in zip(fwd, starts)]
+            kept = [tup for tup in accept[q] if all(map(set.__contains__, ahead, tup))]
+            if kept:
+                live = [seen & _closure(b, {tup[j] for tup in kept}) for j, (seen, b) in enumerate(zip(ahead, bwd))]
+                summands.append(([(tuple(sorted(nodes)), start & nodes, [(s, symbols[a], t) for s, a, t in es if s in nodes and t in nodes])
+                                  for nodes, start, es in zip(live, starts, edges)], kept))
+        if summands:
+            comps[q] = _union_components(summands)
+    return RegSet(m, comps)
 
 
 # ----------------------------------------------------------------- decider
 
-# rounds of the decider; each explores more sources with more nodes and
-# then either runs the predecessor fixpoint (first round) or checks more
-# candidate separators
+# rounds of the decider; each explores more sources with more nodes, and the
+# first then runs the saturation
 ROUNDS = 6
-FIXPOINT_ROUNDS = 6
-CANDIDATES_PER_ROUND = 64
 EXPLORED_PER_ROUND = 2000
 
 
 def decide_separator(m: Mpda, L: RegSet, K: RegSet) -> Verdict:
     """Semi-decider for L -->* K on strongly normed machines.
 
-    Interleaves positive rounds (oracle runs from ever-larger members of L
-    with growing budgets) with negative rounds (predecessor fixpoint first,
-    then canonical candidate separators).  An "unreachable" verdict carries
-    the separating `RegSet` as its `certificate`; the verdict is "unknown",
-    with budget "rounds", when the last round ends undecided."""
-    base_size = 1
-    for comp in K.components.values():
-        base_size = max(base_size, max((len(n.states) for n in comp.nfas), default=1))
+    Positive rounds run the oracle from ever-larger members of L with growing
+    budgets; after the first, the saturation `backward_fixpoint(m, K)` is the
+    certificate when it misses L.  A "reachable" verdict's `detail` names
+    `"strategy": "search"` and its `round`, an "unreachable" one
+    `"strategy": "saturation"`; once the saturation has run, `detail` also
+    holds its counts under `"saturation"`.  The verdict is "unknown", with
+    budget "rounds", when the last round ends undecided."""
+    base_size = max([1, *(len(n.states) for comp in K.components.values() for n in comp.nfas)])
     tried_sources: set[Configuration] = set()
-    candidates = candidate_separators(m)
+    detail: dict = {}
     for rnd in range(1, ROUNDS + 1):
         # positive: explore from small members of L
         src_cap = rnd + 1
@@ -173,19 +201,11 @@ def decide_separator(m: Mpda, L: RegSet, K: RegSet) -> Verdict:
                 continue
             verdict = reach_regset(m, s, K, oracle_budget)
             if verdict.reachable:
-                return Verdict("reachable", witness=verdict.witness)
+                return Verdict("reachable", witness=verdict.witness, detail={"strategy": "search", "round": rnd, **detail})
             if verdict.complete and not verdict.truncated:
                 tried_sources.add(s)  # settled for good; retry the rest with bigger budgets
-        # negative: fixpoint once, then candidate separators
-        try:
-            if rnd == 1:
-                fp = backward_fixpoint(m, K, FIXPOINT_ROUNDS)
-                if fp.converged and is_empty(intersect(L, fp.result)):
-                    return Verdict("unreachable", certificate=fp.result)
-            else:
-                for cand in itertools.islice(candidates, CANDIDATES_PER_ROUND):
-                    if check_separator(m, L, K, cand) is None:
-                        return Verdict("unreachable", certificate=cand)
-        except TooLarge:
-            pass  # negative side stalled; keep trying the positive side
-    return Verdict("unknown", budget="rounds")
+        if rnd == 1:
+            M = backward_fixpoint(m, K, detail.setdefault("saturation", {}))
+            if is_empty(intersect(L, M)):
+                return Verdict("unreachable", certificate=M, detail={"strategy": "saturation", **detail})
+    return Verdict("unknown", budget="rounds", detail=detail)

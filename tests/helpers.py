@@ -1,9 +1,11 @@
 """Deterministic random instance generators shared by the test modules."""
 
+import itertools
 import random
+from typing import Iterator
 
 from mpda.formats import parse_configuration, parse_mpda
-from mpda.model import Cancel, Configuration, Mpda, StackSymbol, TransitionRule, Witness, successors
+from mpda.model import Cancel, Configuration, Mpda, StackSymbol, TransitionRule, Witness, _compositions, successors
 from mpda.regsets import Component, RegSet, StackNfa
 
 
@@ -68,6 +70,19 @@ def random_configuration(rng: random.Random, m: Mpda, max_size: int, state: str 
         i = rng.choice(nonempty)
         stacks[i].append(rng.choice(m.alphabets[i]))
     return Configuration(state, tuple(tuple(w) for w in stacks))
+
+
+def all_configurations(m: Mpda, max_size: int) -> Iterator[Configuration]:
+    """Every configuration of size at most max_size, ordered by
+    (state, size, stack words)."""
+    for state in sorted(m.states):
+        for total in range(max_size + 1):
+            batch = []
+            for lens in _compositions(total, m.stack_count):
+                for words in itertools.product(*(itertools.product(alpha, repeat=n) for alpha, n in zip(m.alphabets, lens))):
+                    batch.append(Configuration(state, words))
+            batch.sort(key=lambda c: tuple(tuple(s.name for s in w) for w in c.stacks))
+            yield from batch
 
 
 def random_stack_nfa(rng: random.Random, m: Mpda, stack: int, max_states: int = 2) -> StackNfa:

@@ -15,7 +15,6 @@ from mpda.model import (
     StackSymbol,
     TransitionRule,
     Witness,
-    all_configurations,
     bf_higman_leq,
     descendant_forest,
     replay,
@@ -42,6 +41,7 @@ from mpda.separator import check_separator, decide_separator
 from mpda.wqo import _uncolored_projection, colored_leq, colored_machine, colored_successors, decide_wqo
 
 from helpers import (
+    all_configurations,
     random_configuration,
     random_regset,
     random_walk,

@@ -452,6 +452,16 @@ class TestSeparatorCertificate:
         K = singleton(m, formats.parse_configuration("q :", m))
         assert check_separator(m, L, K, M) is None
         assert member(M, formats.parse_configuration("p : B", m))
+        assert record["strategy"] == "saturation"
+        assert record["saturation"] == {"nodes": 3, "edges": 2, "contexts": 3, "passes": 1}
+
+    def test_record_names_the_strategy(self, tmp_path, capsys):
+        mfile = tmp_path / "m.mpda"
+        mfile.write_text("mpda {\n  states: p q\n  stacks: 1\n  alphabet 1: A\n  rule p A -> q :\n}\n")
+        code, record, _ = run(capsys, "reach", str(mfile), "--from", "p : A", "--to", "q :", "--method", "separator")
+        assert code == 0
+        assert {k: record[k] for k in ("strategy", "round")} == {"strategy": "search", "round": 1}
+        assert "saturation" not in record  # round 1 found the run before the saturation
 
 
 class TestPreAndShrink:

@@ -16,7 +16,6 @@ from mpda.model import (
     StackSymbol,
     TransitionRule,
     Witness,
-    all_configurations,
     bf_higman_leq,
     descendant_forest,
     expand,
@@ -33,7 +32,7 @@ from mpda.formats import parse_witness, serialize_witness
 from mpda.gadgets import anbncn
 from mpda.oracle import is_fully_active
 
-from helpers import macro_example, random_configuration, random_walk, random_weak_mpda
+from helpers import all_configurations, macro_example, random_configuration, random_walk, random_weak_mpda
 
 
 @pytest.fixture

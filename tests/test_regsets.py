@@ -5,7 +5,7 @@ import pytest
 
 from mpda.formats import parse_regset, serialize_regset
 from mpda.gadgets import anbncn
-from mpda.model import Configuration, Mpda, StackSymbol, all_configurations, successors
+from mpda.model import Configuration, Mpda, StackSymbol, successors
 from mpda.regsets import (
     Component,
     RegSet,
@@ -23,7 +23,7 @@ from mpda.regsets import (
     union,
 )
 
-from helpers import random_configuration, random_regset, random_weak_mpda
+from helpers import all_configurations, random_configuration, random_regset, random_weak_mpda
 
 
 @pytest.fixture
