@@ -13,11 +13,9 @@ from .model import (
     TransitionRule,
     Verdict,
     Witness,
-    bf_higman_leq,
     descendant_forest,
     expand,
     flat_length,
-    higman_leq,
     relevant_occurrences,
     replay,
     step,

@@ -86,6 +86,14 @@ def _ident(ts: _Tokens, what: str) -> str:
     return tok
 
 
+def _line_tokens(line: str) -> tuple[str, ...]:
+    """The tokens of a rule line, a witness step or a `define` line: ':' and
+    '|', which no name may contain, are tokens of their own with or without
+    spaces around them.  '->' stays whitespace-delimited, since '-' and '>'
+    may occur in names."""
+    return tuple(line.replace(":", " : ").replace("|", " | ").split())
+
+
 def _is_arrow(tok: str) -> bool:
     # a rule arrow is '->', optionally carrying an ignored label: '-lbl->'
     return tok == "->" or (tok.startswith("-") and tok.endswith("->") and len(tok) > 3)
@@ -98,7 +106,7 @@ def parse_mpda(text: str) -> Mpda:
     states: list[str] | None = None
     stack_count: int | None = None
     alphabets: dict[int, tuple[int, list[str]]] = {}  # stack index -> (line, names)
-    rule_lines: list[tuple[int, list[str]]] = []
+    rule_lines: list[tuple[int, tuple[str, ...]]] = []
     opened = closed = False
     for lineno, raw in enumerate(lines, start=1):
         line = _strip_comment(raw).strip()
@@ -144,7 +152,7 @@ def parse_mpda(text: str) -> Mpda:
                 raise ParseError(lineno, f"duplicate alphabet for stack {idx}")
             alphabets[idx] = (lineno, rest.split())
         elif line.split()[:1] == ["rule"]:
-            rule_lines.append((lineno, line.split()))
+            rule_lines.append((lineno, _line_tokens(line)))
         else:
             raise ParseError(lineno, f"unrecognized line {line.split()[0]!r}")
     if not opened:
@@ -179,7 +187,7 @@ def parse_mpda(text: str) -> Mpda:
 
 
 def _parse_rule_tokens(
-    toks: list[str],
+    toks: tuple[str, ...],
     lineno: int,
     stack_count: int,
     sym_by_name: dict[str, StackSymbol],
@@ -276,13 +284,13 @@ def parse_witness(text: str, m: Mpda) -> Witness:
     fragments: dict[tuple[str, StackSymbol], TransitionRule] = {}
     cancels: dict[Cancel, int] = {}  # the line of each macro step's first use
     # the machine's own rule objects by the tokens of a line; each other line is parsed once
-    by_tokens = {tuple(str(r).split()): r for r in m.rules}
+    by_tokens = {_line_tokens(str(r)): r for r in m.rules}
     sym_by_name = {s.name: s for alpha in m.alphabets for s in alpha}
 
     def declared(toks: tuple[str, ...], lineno: int) -> TransitionRule:
         rule = by_tokens.get(toks)
         if rule is None:
-            parsed = _parse_rule_tokens(list(toks), lineno, m.stack_count, sym_by_name)
+            parsed = _parse_rule_tokens(toks, lineno, m.stack_count, sym_by_name)
             rule = next((r for r in m.rules if r == parsed), None)
             if rule is None:
                 raise ParseError(lineno, f"rule not declared by the machine: {parsed}")
@@ -296,7 +304,7 @@ def parse_witness(text: str, m: Mpda) -> Witness:
         if start is None:
             start = parse_configuration(line, m, lineno)
             continue
-        toks = tuple(line.split())
+        toks = _line_tokens(line)
         rule = by_tokens.get(toks)
         if rule is not None:
             steps.append(rule)
@@ -328,8 +336,8 @@ def parse_witness(text: str, m: Mpda) -> Witness:
 def serialize_witness(w: Witness) -> str:
     lines = [serialize_configuration(w.start)]
     lines += [f"define {r}" for r in w.fragments]
-    # each distinct step is rendered once; keyed by identity, since a rule's
-    # own hash runs over its symbols in Python
+    # each distinct step is rendered once; keyed by identity, since the steps
+    # repeat a few rule objects and a rule's own hash walks all its fields
     rendered: dict[int, str] = {}
     for r in w.steps:
         text = rendered.get(id(r))
@@ -469,7 +477,7 @@ def serialize_regset(L: RegSet) -> str:
         for i, nfa in enumerate(comp.nfas):
             parts = ["states: " + " ".join(map(str, nfa.states))]
             parts.append("initial: " + " ".join(map(str, sorted(nfa.initials))))
-            for src, sym, dst in sorted(nfa.edges, key=lambda e: (e[0], e[1].name, e[2])):
+            for src, sym, dst in sorted(nfa.edges):
                 parts.append(f"edge {src} {sym.name} {dst}")
             lines.append(f"    nfa {i + 1} {{ " + " ; ".join(parts) + " }")
         tuples = " ".join("(" + " ".join(map(str, t)) + ")" for t in sorted(comp.accept))

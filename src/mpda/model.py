@@ -54,9 +54,9 @@ def check_token(tok: str) -> str:
     return tok
 
 
-@dataclass(frozen=True, order=True)
-class StackSymbol:
-    """A stack symbol; symbols of different stacks never compare equal."""
+class StackSymbol(NamedTuple):
+    """A stack symbol, equal to the plain `(name, stack)` pair: symbols of
+    different stacks never compare equal, and symbols sort by (name, stack)."""
 
     name: str
     stack: int
@@ -68,8 +68,7 @@ class StackSymbol:
 Word = tuple[StackSymbol, ...]
 
 
-@dataclass(frozen=True)
-class TransitionRule:
+class TransitionRule(NamedTuple):
     src: str
     pop: StackSymbol
     dst: str
@@ -218,15 +217,13 @@ class _Row(dict):
 def _own_form(m: Mpda) -> CompiledMpda:
     """m over integer ids: a variant is a rule, its order the declaration
     index."""
-    symbols = tuple(sym for alpha in m.alphabets for sym in alpha)
-    # by name: names are unique in a machine, and a str hashes faster than a symbol
-    code = {sym.name: i for i, sym in enumerate(symbols)}
-    state_id = {q: i for i, q in enumerate(m.states)}
     by_pop: dict[tuple[int, int], list[tuple]] = {}
+    cm = CompiledMpda(m.states, (sym for alpha in m.alphabets for sym in alpha), lambda state, top: by_pop.get((state, top), ()))
+    state_id, symbol_id = cm.state_id, cm.symbol_id
     for idx, r in enumerate(m.rules):
-        by_pop.setdefault((state_id[r.src], code[r.pop.name]), []).append(
-            (idx, r, state_id[r.dst], tuple([tuple([code[sym.name] for sym in w]) for w in r.push])))
-    return CompiledMpda(m.states, symbols, lambda state, top: by_pop.get((state, top), ()))
+        by_pop.setdefault((state_id[r.src], symbol_id[r.pop]), []).append(
+            (idx, r, state_id[r.dst], tuple([tuple([symbol_id[sym] for sym in w]) for w in r.push])))
+    return cm
 
 
 def annotated_machine(m: Mpda, variants_of: Callable[[TransitionRule, bool], Iterable[tuple[Any, tuple]]]) -> CompiledMpda:
@@ -237,18 +234,17 @@ def annotated_machine(m: Mpda, variants_of: Callable[[TransitionRule, bool], Ite
     Their order is (stack, declaration index, variant index): successors go
     stack by stack, rules in declaration order."""
     own = m.compiled()
-    code = {sym.name: i for i, sym in enumerate(own.symbols)}
+    symbol_id = own.symbol_id
 
     def annotated_variants(state: int, top: int) -> Iterator[tuple]:
         for idx, rule, dst, stack, _ in own.rows[state][top >> 1]:
             for v, (label, pushes) in enumerate(variants_of(rule, bool(top & 1))):
-                yield (stack, idx, v), label, dst, tuple([tuple([2 * code[sym.name] + bit for sym, bit in w]) for w in pushes])
+                yield (stack, idx, v), label, dst, tuple([tuple([2 * symbol_id[sym] + bit for sym, bit in w]) for w in pushes])
 
     return CompiledMpda(m.states, (AnnotatedSymbol(sym, bit) for sym in own.symbols for bit in (False, True)), annotated_variants)
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(NamedTuple):
     """Control state plus one word per stack; stacks[i][0] is the top of stack i."""
 
     state: str
@@ -493,8 +489,7 @@ def replay(m: Mpda, w: Witness) -> Configuration:
         if state != r.src:
             raise InvalidWitness(i, f"state {state} != {r.src}")
         stack = stacks[pop.stack]
-        # identity first: a witness built apart from the machine may carry equal symbols that are other objects
-        if not stack or (stack[-1] is not pop and stack[-1] != pop):
+        if not stack or stack[-1] != pop:
             raise InvalidWitness(i, f"{pop.name} is not on top of stack {pop.stack + 1}")
         stack.pop()
         for pushed_on, word in zip(stacks, r.push):
@@ -623,27 +618,6 @@ def relevant_occurrences(m: Mpda, w: Witness) -> set[OccurrenceId]:
         if occ in parents:
             todo.append(parents[occ])
     return relevant
-
-
-def higman_leq(u: Word, v: Word) -> bool:
-    """True iff u is a (scattered) subsequence of v."""
-    it = iter(v)
-    return all(x in it for x in u)
-
-
-def bf_higman_leq(c1: Configuration, c2: Configuration) -> bool:
-    """Bottom-fixed embedding: states equal; per stack, equal bottom symbols
-    and the remaining prefixes embed, or both stacks empty."""
-    if c1.state != c2.state:
-        return False
-    for w1, w2 in zip(c1.stacks, c2.stacks):
-        if not w1 and not w2:
-            continue
-        if not w1 or not w2 or w1[-1] != w2[-1]:
-            return False
-        if not higman_leq(w1[:-1], w2[:-1]):
-            return False
-    return True
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

@@ -315,7 +315,7 @@ def enumerate_members(L: RegSet, max_size: int) -> Iterator[Configuration]:
                     reached = [cur for _, cur in picks]
                     if any(all(f in reached[i] for i, f in enumerate(tup)) for tup in comp.accept):
                         batch.append(Configuration(state, tuple(w for w, _ in picks)))
-            batch.sort(key=lambda c: tuple(tuple(s.name for s in w) for w in c.stacks))
+            batch.sort()
             yield from batch
 
 

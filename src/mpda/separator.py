@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Configuration, Mpda, Verdict
+from .model import Configuration, Mpda, StackSymbol, Verdict
 from .oracle import OracleBudget, reach_regset
 from .regsets import (
     RegSet,
@@ -95,10 +95,8 @@ def backward_fixpoint(m: Mpda, K: RegSet, stats: dict | None = None) -> RegSet:
     determinized.  Each context, trimmed, is one summand of the result.
     `stats` receives the node, edge and context counts and the passes."""
     k = m.stack_count
-    symbols = [sym for alpha in m.alphabets for sym in alpha]
-    sid = {sym: i for i, sym in enumerate(symbols)}
     sizes = [0] * k  # nodes per stack
-    delta: list[dict[tuple[int, int], set[int]]] = [{} for _ in range(k)]  # (node, symbol id) -> nodes
+    delta: list[dict[tuple[int, StackSymbol], set[int]]] = [{} for _ in range(k)]  # (node, symbol) -> nodes
     contexts: dict[str, list[list[set[int]]]] = {q: [] for q in m.states}
     accept: dict[str, set[tuple[int, ...]]] = {q: set() for q in m.states}
     for q, comp in K.components.items():
@@ -106,7 +104,7 @@ def backward_fixpoint(m: Mpda, K: RegSet, stats: dict | None = None) -> RegSet:
         for j, (p, nfa) in enumerate(zip(pos, comp.nfas)):
             sizes[j] += len(p)
             for s, a, t in nfa.edges:
-                delta[j].setdefault((p[s], sid[a]), set()).add(p[t])
+                delta[j].setdefault((p[s], a), set()).add(p[t])
         contexts[q].append([{p[s] for s in nfa.initials} for p, nfa in zip(pos, comp.nfas)])
         accept[q] = {tuple(p[f] for p, f in zip(pos, tup)) for tup in comp.accept}
     reaches = {q: {q} for q in m.states}
@@ -115,7 +113,6 @@ def backward_fixpoint(m: Mpda, K: RegSet, stats: dict | None = None) -> RegSet:
             reaches[r.src] |= reaches[r.dst]
     # a change at q alters the reads from every state that reaches q
     upstream = {q: [n for n, r in enumerate(m.rules) if q in reaches[r.dst]] for q in m.states}
-    pushes = [tuple(tuple(sid[a] for a in w) for w in r.push) for r in m.rules]
     fired: dict[int, tuple[int, list[set[int]]]] = {}  # rule -> (nu_r, context r)
     pending, passes = set(range(len(m.rules))), 0
     while pending:
@@ -123,7 +120,7 @@ def backward_fixpoint(m: Mpda, K: RegSet, stats: dict | None = None) -> RegSet:
         for n in batch:
             r, i = m.rules[n], m.rules[n].pop.stack
             reads = []
-            for j, w in enumerate(pushes[n]):
+            for j, w in enumerate(r.push):
                 nodes = set().union(*(c[j] for c in contexts[r.dst]))
                 for a in w:
                     nodes = {t for s in nodes for t in delta[j].get((s, a), ())}
@@ -137,7 +134,7 @@ def backward_fixpoint(m: Mpda, K: RegSet, stats: dict | None = None) -> RegSet:
                 sizes[i] += 1
             nu, ctx = fired[n]
             for j, got in enumerate(reads):
-                have = delta[i].setdefault((nu, sid[r.pop]), set()) if j == i else ctx[j]
+                have = delta[i].setdefault((nu, r.pop), set()) if j == i else ctx[j]
                 changed = changed or not got <= have
                 have |= got
             changed = changed or not accept[r.dst] <= accept[r.src]
@@ -161,7 +158,7 @@ def backward_fixpoint(m: Mpda, K: RegSet, stats: dict | None = None) -> RegSet:
             kept = [tup for tup in accept[q] if all(map(set.__contains__, ahead, tup))]
             if kept:
                 live = [seen & _closure(b, {tup[j] for tup in kept}) for j, (seen, b) in enumerate(zip(ahead, bwd))]
-                summands.append(([(tuple(sorted(nodes)), start & nodes, [(s, symbols[a], t) for s, a, t in es if s in nodes and t in nodes])
+                summands.append(([(tuple(sorted(nodes)), start & nodes, [(s, a, t) for s, a, t in es if s in nodes and t in nodes])
                                   for nodes, start, es in zip(live, starts, edges)], kept))
         if summands:
             comps[q] = _union_components(summands)

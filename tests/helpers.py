@@ -5,7 +5,8 @@ import random
 from typing import Iterator
 
 from mpda.formats import parse_configuration, parse_mpda
-from mpda.model import Cancel, Configuration, Mpda, StackSymbol, TransitionRule, Witness, _compositions, successors
+from mpda.gadgets import expo
+from mpda.model import Cancel, Configuration, Mpda, StackSymbol, TransitionRule, Witness, Word, _compositions, successors
 from mpda.regsets import Component, RegSet, StackNfa
 
 
@@ -58,6 +59,36 @@ def random_weak_mpda(
         if rule not in rules:
             rules.append(rule)
     return Mpda(states, alphabets, tuple(rules))
+
+
+def pinned_machines():
+    """expo:2..12, then the machines of `nested_eraser_machines`."""
+    yield from (expo(n).mpda for n in range(2, 13))
+    yield from nested_eraser_machines()
+
+
+def nested_eraser_machines():
+    """50 seeded strongly normed machines with 1-3 stacks.  Each in-place
+    eraser the generator adds, except those of the first declared symbol, is
+    made to push one to three symbols declared before the symbol it pops,
+    and the rules are shuffled, so the chosen erasing rules push words whose
+    order matters."""
+    rng = random.Random(2027)
+    for _ in range(50):
+        m = random_weak_mpda(rng, stacks=rng.randint(1, 3), rhs_cap=3, strongly_normed=True)
+        symbols = [sym for alpha in m.alphabets for sym in alpha]
+        rules = []
+        for r in m.rules:
+            below = symbols[:symbols.index(r.pop)]
+            if not r.changes_state and r.rhs_size == 0 and below:
+                push = [[] for _ in m.alphabets]
+                for sym in rng.choices(below, k=rng.randint(1, 3)):
+                    push[sym.stack].append(sym)
+                r = TransitionRule(r.src, r.pop, r.dst, tuple(map(tuple, push)))
+            if r not in rules:
+                rules.append(r)
+        rng.shuffle(rules)
+        yield Mpda(m.states, m.alphabets, tuple(rules))
 
 
 def random_configuration(rng: random.Random, m: Mpda, max_size: int, state: str | None = None) -> Configuration:
@@ -157,3 +188,24 @@ def macro_example():
     r = m.rules
     a = m.symbol("A")
     return m, Witness(parse_configuration("q : A B |", m), (Cancel("q", a), r[1]), (r[0], r[1], r[2]))
+
+
+def higman_leq(u: Word, v: Word) -> bool:
+    """True iff u is a (scattered) subsequence of v."""
+    it = iter(v)
+    return all(x in it for x in u)
+
+
+def bf_higman_leq(c1: Configuration, c2: Configuration) -> bool:
+    """Bottom-fixed embedding: states equal; per stack, equal bottom symbols
+    and the remaining prefixes embed, or both stacks empty."""
+    if c1.state != c2.state:
+        return False
+    for w1, w2 in zip(c1.stacks, c2.stacks):
+        if not w1 and not w2:
+            continue
+        if not w1 or not w2 or w1[-1] != w2[-1]:
+            return False
+        if not higman_leq(w1[:-1], w2[:-1]):
+            return False
+    return True

@@ -15,7 +15,6 @@ from mpda.model import (
     StackSymbol,
     TransitionRule,
     Witness,
-    bf_higman_leq,
     descendant_forest,
     replay,
     successors,
@@ -42,6 +41,7 @@ from mpda.wqo import _uncolored_projection, colored_leq, colored_machine, colore
 
 from helpers import (
     all_configurations,
+    bf_higman_leq,
     random_configuration,
     random_regset,
     random_walk,

@@ -15,7 +15,7 @@ from mpda.classify import (
 from mpda.gadgets import anbncn, expo, nonreg_forward
 from mpda.model import Cancel, Configuration, Mpda, StackSymbol, TransitionRule, Witness, expand
 
-from helpers import random_weak_mpda
+from helpers import pinned_machines, random_weak_mpda
 
 
 def eager_fragments(table):
@@ -43,31 +43,6 @@ def expansion(m, table, q, sym):
     """The flat steps of `cancel q X` on a lone X, under the whole table."""
     lone = Configuration(q, tuple((sym,) if i == sym.stack else () for i in range(m.stack_count)))
     return expand(Witness(lone, (Cancel(q, sym),), tuple(table.values()))).steps
-
-
-def pinned_machines():
-    """expo:2..12 and 50 seeded strongly normed machines with 1-3 stacks.
-    Each in-place eraser the generator adds, except those of the first
-    declared symbol, is made to push one to three symbols declared before
-    the symbol it pops, and the rules are shuffled, so the chosen erasing
-    rules push words whose order matters."""
-    yield from (expo(n).mpda for n in range(2, 13))
-    rng = random.Random(2027)
-    for _ in range(50):
-        m = random_weak_mpda(rng, stacks=rng.randint(1, 3), rhs_cap=3, strongly_normed=True)
-        symbols = [sym for alpha in m.alphabets for sym in alpha]
-        rules = []
-        for r in m.rules:
-            below = symbols[:symbols.index(r.pop)]
-            if not r.changes_state and r.rhs_size == 0 and below:
-                push = [[] for _ in m.alphabets]
-                for sym in rng.choices(below, k=rng.randint(1, 3)):
-                    push[sym.stack].append(sym)
-                r = TransitionRule(r.src, r.pop, r.dst, tuple(map(tuple, push)))
-            if r not in rules:
-                rules.append(r)
-        rng.shuffle(rules)
-        yield Mpda(m.states, m.alphabets, tuple(rules))
 
 
 def simple(rules_desc, states=("q0", "q1")):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -117,6 +118,48 @@ class TestWitnessFormat:
         with pytest.raises(ParseError) as ei:
             formats.parse_witness(text + "rule q1 D -> q1 : |\n", m)
         assert ei.value.line == 9
+
+
+# the spellings of a rule line: ':' and '|' with or without spaces around them
+SPACINGS = [
+    lambda line: re.sub(r" *\| *", "|", line),  # rule q A -> q : B|C
+    lambda line: re.sub(r" *:", ":", line),  # rule q A -> q: B | C
+    lambda line: re.sub(r" *([:|]) *", r"\1", line),  # rule q A -> q:B|C
+]
+SPACING_IDS = ["bar", "colon", "both"]
+
+
+def respace(text, spacing):
+    """text with `spacing` applied to its rule and `define` lines."""
+    return "".join(spacing(line) if line.lstrip().startswith(("rule", "define")) else line
+                   for line in text.splitlines(keepends=True))
+
+
+class TestRuleLineSpacing:
+    @pytest.mark.parametrize("spacing", SPACINGS, ids=SPACING_IDS)
+    def test_machine(self, spacing):
+        text = respace(MACHINE, spacing)
+        assert text != MACHINE
+        assert formats.parse_mpda(text) == anbncn().mpda
+
+    @pytest.mark.parametrize("spacing", SPACINGS, ids=SPACING_IDS)
+    def test_witness_steps(self, spacing):
+        inst = anbncn()
+        m = inst.mpda
+        w = Witness(inst.source, (m.rules[0], m.rules[1], m.rules[2], m.rules[3], m.rules[4]))
+        text = respace(formats.serialize_witness(w), spacing)
+        assert text != formats.serialize_witness(w)
+        got = formats.parse_witness(text, m)
+        assert got == w
+        assert all(any(step is r for r in m.rules) for step in got.steps)
+
+    @pytest.mark.parametrize("spacing", SPACINGS, ids=SPACING_IDS)
+    def test_witness_definitions(self, spacing):
+        m, w = macro_example()
+        text = respace(formats.serialize_witness(w), spacing)
+        assert text != formats.serialize_witness(w)
+        assert formats.parse_witness(text, m) == w
+        assert formats.parse_mpda(respace(formats.serialize_mpda(m), spacing)) == m
 
 
 class TestMacroWitnessFormat:

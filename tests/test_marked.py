@@ -18,8 +18,9 @@ from mpda.formats import serialize_witness
 from mpda.model import AnnotatedSymbol, Cancel, Configuration, Mpda, StackSymbol, TransitionRule, annotate, expand, flat_length, replay, search
 from mpda.oracle import OracleBudget, reach_config
 from mpda.regsets import singleton
+from mpda.wqo import reach_wqo
 
-from helpers import fire, random_configuration, random_weak_mpda
+from helpers import fire, nested_eraser_machines, random_configuration, random_walk, random_weak_mpda
 
 
 def render(w):
@@ -222,6 +223,28 @@ class TestReconstruct:
             assert w.start == s
             assert replay(m, w) == t
             done += 1
+
+    def test_nested_cancel_tables(self):
+        """On machines whose erasing rules push, every walk's end is
+        reachable, every witness and its expansion replay into the target,
+        and a small wqo search agrees wherever it decides."""
+        rng = random.Random(31)
+        reachable = nested = decided = 0
+        for m in nested_eraser_machines():
+            for walk_target in (True, False):
+                s = random_configuration(rng, m, 3)
+                t = replay(m, random_walk(rng, m, s, 6)) if walk_target else random_configuration(rng, m, 3)
+                v = reach_marked(m, s, t)
+                assert v.reachable or (v.complete and not walk_target), f"{s} -> {t} on {m.rules}"
+                if v.reachable:
+                    reachable += 1
+                    assert replay(m, v.witness) == t and replay(m, expand(v.witness)) == t
+                    nested += any(r.rhs_size for r in v.witness.fragments)
+                other = reach_wqo(m, (s,), t, max_nodes=300)  # a larger budget can run for minutes
+                if other.status != "unknown":
+                    decided += 1
+                    assert other.status == v.status, f"{s} -> {t} on {m.rules}"
+        assert 4 * nested >= reachable > 50 and decided > 80
 
     def test_expo_expands_to_exponential_witness(self):
         inst = expo(6)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mpda.model import (
+    AnnotatedSymbol,
     Cancel,
     Configuration,
     InputError,
@@ -16,11 +17,10 @@ from mpda.model import (
     StackSymbol,
     TransitionRule,
     Witness,
-    bf_higman_leq,
+    annotated_machine,
     descendant_forest,
     expand,
     flat_length,
-    higman_leq,
     involved_occurrences,
     relevant_occurrences,
     replay,
@@ -28,11 +28,19 @@ from mpda.model import (
     successors,
     trace,
 )
-from mpda.formats import parse_witness, serialize_witness
+from mpda.formats import parse_configuration, parse_witness, serialize_witness
 from mpda.gadgets import anbncn
 from mpda.oracle import is_fully_active
 
-from helpers import all_configurations, macro_example, random_configuration, random_walk, random_weak_mpda
+from helpers import (
+    all_configurations,
+    bf_higman_leq,
+    higman_leq,
+    macro_example,
+    random_configuration,
+    random_walk,
+    random_weak_mpda,
+)
 
 
 @pytest.fixture
@@ -190,6 +198,49 @@ class TestMacroWitness:
         assert text.splitlines()[1:4] == ["define rule q A -> q : B B | C", "define rule q B -> q :  | ", "define rule q C -> q :  | "]
         assert text.splitlines()[4] == "cancel q A"
         assert parse_witness(text, m) == w
+
+
+class TestValueSemantics:
+    """Symbols, rules and configurations are plain values; the compiled
+    machine holds the one numbering of symbols."""
+
+    def test_symbols_compare_by_name_and_stack(self):
+        assert StackSymbol("A", 0) != StackSymbol("A", 1)
+        assert StackSymbol("A", 0) == StackSymbol("A", 0)
+        assert len({StackSymbol("A", 0), StackSymbol("A", 1), StackSymbol("A", 0)}) == 2
+        syms = [StackSymbol("B", 0), StackSymbol("A", 1), StackSymbol("C", 0), StackSymbol("A", 0)]
+        assert sorted(syms) == [StackSymbol("A", 0), StackSymbol("A", 1), StackSymbol("B", 0), StackSymbol("C", 0)]
+        assert repr(StackSymbol("A", 0)) == "StackSymbol(name='A', stack=0)"
+
+    def test_compiled_numbering_follows_declaration(self, ab):
+        m = ab.mpda
+        declared = [s for alpha in m.alphabets for s in alpha]
+        own = m.compiled()
+        assert list(own.symbols) == declared
+        assert own.symbol_id == {s: i for i, s in enumerate(declared)}
+        assert own.state_id == {q: i for i, q in enumerate(m.states)}
+
+    def test_annotated_numbering_doubles_the_own(self, ab):
+        m = ab.mpda
+        own = m.compiled()
+        annotated = annotated_machine(m, lambda rule, bit: [(rule, tuple(tuple((s, bit) for s in w) for w in rule.push))])
+        assert len(annotated.symbols) == 2 * len(own.symbols)
+        for i, s in enumerate(own.symbols):
+            for b in (False, True):
+                assert annotated.symbols[2 * i + b] == AnnotatedSymbol(s, b)
+                assert annotated.symbol_id[AnnotatedSymbol(s, b)] == 2 * i + b
+
+    def test_reparsed_configurations_and_rules_are_equal(self):
+        rng = random.Random(23)
+        for _ in range(50):
+            m = random_weak_mpda(rng, stacks=rng.choice((1, 2, 3)))
+            c = random_configuration(rng, m, 5)
+            again = parse_configuration(str(c), m)
+            assert again == c and hash(again) == hash(c)
+            for r in m.rules:
+                copy = TransitionRule(r.src, StackSymbol(r.pop.name, r.pop.stack), r.dst, tuple(tuple(w) for w in r.push))
+                assert copy == r and hash(copy) == hash(r)
+                assert (copy.rhs_size, copy.changes_state) == (r.rhs_size, r.changes_state)
 
 
 class TestValidation:
