@@ -1,13 +1,19 @@
 """Plain-text formats for machines, configurations, witnesses and regular sets.
 
-All formats share a lexical layer: '#' starts a comment that runs to end of
-line, tokens are whitespace-separated, and '{', '}', '(', ')', '|', ':' and
-';' are tokens of their own.  Parse errors carry 1-based line numbers.
+All formats share one lexical layer, `_tokens`: '#' starts a comment that
+runs to the end of the line, each character of `model.PUNCTUATION`
+('{', '}', '(', ')', ';', ':' and '|') is a token of its own, and the rest
+of the line splits at whitespace.  No name may hold punctuation, whitespace
+or '#' (`model.check_token`), so every file written here parses back.
+Parse errors carry 1-based line numbers.
 """
 
 from __future__ import annotations
 
+from typing import Collection
+
 from .model import (
+    PUNCTUATION,
     Cancel,
     Configuration,
     Mpda,
@@ -27,28 +33,22 @@ class ParseError(Exception):
         super().__init__(f"line {line}: {msg}")
 
 
-def _strip_comment(line: str) -> str:
-    pos = line.find("#")
-    return line if pos < 0 else line[:pos]
+_SPACED = tuple((ch, f" {ch} ") for ch in PUNCTUATION)
 
 
-_PUNCT = "{}();:"
-
-
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw)
-        for ch in _PUNCT:
-            line = line.replace(ch, f" {ch} ")
-        for tok in line.split():
-            out.append((tok, lineno))
-    return out
+def _tokens(line: str) -> list[str]:
+    """The tokens of one line, its comment stripped."""
+    cut = line.find("#")
+    if cut >= 0:
+        line = line[:cut]
+    for ch, spaced in _SPACED:
+        line = line.replace(ch, spaced)
+    return line.split()
 
 
 class _Tokens:
     def __init__(self, text: str):
-        self.toks = _tokenize(text)
+        self.toks = [(tok, lineno) for lineno, line in enumerate(text.splitlines(), start=1) for tok in _tokens(line)]
         self.pos = 0
 
     @property
@@ -86,17 +86,39 @@ def _ident(ts: _Tokens, what: str) -> str:
     return tok
 
 
-def _line_tokens(line: str) -> tuple[str, ...]:
-    """The tokens of a rule line, a witness step or a `define` line: ':' and
-    '|', which no name may contain, are tokens of their own with or without
-    spaces around them.  '->' stays whitespace-delimited, since '-' and '>'
-    may occur in names."""
-    return tuple(line.replace(":", " : ").replace("|", " | ").split())
-
-
 def _is_arrow(tok: str) -> bool:
     # a rule arrow is '->', optionally carrying an ignored label: '-lbl->'
     return tok == "->" or (tok.startswith("-") and tok.endswith("->") and len(tok) > 3)
+
+
+def _stacks(toks: list[str], lineno: int, symbols: dict[str, StackSymbol], stack_count: int,
+            head: tuple[str, str, Collection[str]], wording: tuple[str, str]) -> tuple[Word, ...]:
+    """The words of `w1 | w2 | ... | wk`, top first: a rule's pushes or a
+    configuration's stacks.  It checks the stack count, then `head`, the
+    (kind, name, known names) of the rule's popped symbol or the
+    configuration's state, then each symbol.  `wording` words the count and
+    the wrong-stack errors."""
+    count = toks.count("|") + 1
+    if count != stack_count:
+        raise ParseError(lineno, f"{wording[0]} {count} stacks, expected {stack_count}")
+    kind, name, known = head
+    if name not in known:
+        raise ParseError(lineno, f"unknown {kind} {name!r}")
+    words: list[Word] = []
+    word: list[StackSymbol] = []
+    for tok in toks:
+        if tok == "|":
+            words.append(tuple(word))
+            word = []
+            continue
+        sym = symbols.get(tok)
+        if sym is None:
+            raise ParseError(lineno, f"unknown symbol {tok!r}")
+        if sym.stack != len(words):
+            raise ParseError(lineno, f"symbol {tok!r} {wording[1]} stack {len(words) + 1} but belongs to stack {sym.stack + 1}")
+        word.append(sym)
+    words.append(tuple(word))
+    return tuple(words)
 
 
 # ---------------------------------------------------------------- machines
@@ -106,55 +128,58 @@ def parse_mpda(text: str) -> Mpda:
     states: list[str] | None = None
     stack_count: int | None = None
     alphabets: dict[int, tuple[int, list[str]]] = {}  # stack index -> (line, names)
-    rule_lines: list[tuple[int, tuple[str, ...]]] = []
+    rule_lines: list[tuple[int, list[str]]] = []
     opened = closed = False
     for lineno, raw in enumerate(lines, start=1):
-        line = _strip_comment(raw).strip()
-        if not line:
+        toks = _tokens(raw)
+        if not toks:
             continue
         if not opened:
-            if line.replace(" ", "") != "mpda{" and line.split() != ["mpda", "{"]:
+            if toks != ["mpda", "{"]:
                 raise ParseError(lineno, "expected 'mpda {'")
             opened = True
             continue
         if closed:
             raise ParseError(lineno, "content after closing '}'")
-        if line == "}":
+        if toks == ["}"]:
             closed = True
             continue
-        key, _, rest = line.partition(":")
-        key_parts = key.split()
-        if key_parts[:1] == ["states"] and len(key_parts) == 1:
+        if toks[0] == "rule":
+            rule_lines.append((lineno, toks))
+            continue
+        # a header line: `key: names`, the key being what precedes the first ':'
+        colon = toks.index(":") if ":" in toks else len(toks)
+        key, rest = toks[:colon], toks[colon + 1:]
+        if key == ["states"]:
             if states is not None:
                 raise ParseError(lineno, "duplicate 'states:' line")
-            states = rest.split()
+            states = _names(rest, lineno)
             if not states:
                 raise ParseError(lineno, "empty state list")
             if len(set(states)) != len(states):
                 raise ParseError(lineno, "duplicate state")
-        elif key_parts[:1] == ["stacks"] and len(key_parts) == 1:
+        elif key == ["stacks"]:
             if stack_count is not None:
                 raise ParseError(lineno, "duplicate 'stacks:' line")
+            count = " ".join(rest)
             try:
-                stack_count = int(rest.strip())
+                stack_count = int(count)
             except ValueError:
-                raise ParseError(lineno, f"bad stack count {rest.strip()!r}") from None
+                raise ParseError(lineno, f"bad stack count {count!r}") from None
             if stack_count < 1:
                 raise ParseError(lineno, "stack count must be positive")
-        elif key_parts[:1] == ["alphabet"]:
-            if len(key_parts) != 2:
+        elif key[:1] == ["alphabet"]:
+            if len(key) != 2:
                 raise ParseError(lineno, "expected 'alphabet <index>: ...'")
             try:
-                idx = int(key_parts[1])
+                idx = int(key[1])
             except ValueError:
-                raise ParseError(lineno, f"bad stack index {key_parts[1]!r}") from None
+                raise ParseError(lineno, f"bad stack index {key[1]!r}") from None
             if idx in alphabets:
                 raise ParseError(lineno, f"duplicate alphabet for stack {idx}")
-            alphabets[idx] = (lineno, rest.split())
-        elif line.split()[:1] == ["rule"]:
-            rule_lines.append((lineno, _line_tokens(line)))
+            alphabets[idx] = (lineno, _names(rest, lineno))
         else:
-            raise ParseError(lineno, f"unrecognized line {line.split()[0]!r}")
+            raise ParseError(lineno, f"unrecognized line {toks[0]!r}")
     if not opened:
         raise ParseError(len(lines) or 1, "expected 'mpda {'")
     if not closed:
@@ -186,12 +211,17 @@ def parse_mpda(text: str) -> Mpda:
         raise ParseError(1, str(e)) from None
 
 
-def _parse_rule_tokens(
-    toks: tuple[str, ...],
-    lineno: int,
-    stack_count: int,
-    sym_by_name: dict[str, StackSymbol],
-) -> TransitionRule:
+def _names(toks: list[str], lineno: int) -> list[str]:
+    """The names of a `states:` or `alphabet` line; a punctuation token there
+    is a character that the lexer split off a name."""
+    for tok in toks:
+        if tok in PUNCTUATION:
+            raise ParseError(lineno, f"names may not contain {tok!r}")
+    return toks
+
+
+def _parse_rule_tokens(toks: list[str], lineno: int, stack_count: int,
+                       sym_by_name: dict[str, StackSymbol]) -> TransitionRule:
     # rule <src> <pop> -> <dst> : w1 | w2 | ... | wk
     if len(toks) < 6 or toks[0] != "rule":
         raise ParseError(lineno, "malformed rule line")
@@ -201,27 +231,9 @@ def _parse_rule_tokens(
     dst = toks[4]
     if toks[5] != ":":
         raise ParseError(lineno, "expected ':' after target state")
-    groups: list[list[str]] = [[]]
-    for tok in toks[6:]:
-        if tok == "|":
-            groups.append([])
-        else:
-            groups[-1].append(tok)
-    if len(groups) != stack_count:
-        raise ParseError(lineno, f"rule pushes on {len(groups)} stacks, expected {stack_count}")
-    if pop_name not in sym_by_name:
-        raise ParseError(lineno, f"unknown symbol {pop_name!r}")
-    push: list[Word] = []
-    for i, grp in enumerate(groups):
-        word = []
-        for name in grp:
-            if name not in sym_by_name:
-                raise ParseError(lineno, f"unknown symbol {name!r}")
-            if sym_by_name[name].stack != i:
-                raise ParseError(lineno, f"symbol {name!r} pushed on stack {i + 1} but belongs to stack {sym_by_name[name].stack + 1}")
-            word.append(sym_by_name[name])
-        push.append(tuple(word))
-    return TransitionRule(src, sym_by_name[pop_name], dst, tuple(push))
+    head = ("symbol", pop_name, sym_by_name)
+    push = _stacks(toks[6:], lineno, sym_by_name, stack_count, head, ("rule pushes on", "pushed on"))
+    return TransitionRule(src, sym_by_name[pop_name], dst, push)
 
 
 def serialize_mpda(m: Mpda) -> str:
@@ -240,31 +252,14 @@ def serialize_mpda(m: Mpda) -> str:
 
 def parse_configuration(text: str, m: Mpda, lineno: int = 1) -> Configuration:
     """Parse a literal like 'q1 : X D |' (one '|' between adjacent stacks)."""
-    body = _strip_comment(text).strip()
-    state, sep, rest = body.partition(":")
-    if not sep:
-        raise ParseError(lineno, "expected '<state> : <stacks>'")
-    state = state.strip()
-    if len(state.split()) != 1:
-        raise ParseError(lineno, f"bad state field {state!r}")
-    groups = rest.split("|")
-    if len(groups) != m.stack_count:
-        raise ParseError(lineno, f"configuration has {len(groups)} stacks, expected {m.stack_count}")
-    if state not in m.states:
-        raise ParseError(lineno, f"unknown state {state!r}")
-    stacks: list[Word] = []
-    for i, grp in enumerate(groups):
-        word = []
-        for name in grp.split():
-            try:
-                sym = m.symbol(name)
-            except MpdaError:
-                raise ParseError(lineno, f"unknown symbol {name!r}") from None
-            if sym.stack != i:
-                raise ParseError(lineno, f"symbol {name!r} listed on stack {i + 1} but belongs to stack {sym.stack + 1}")
-            word.append(sym)
-        stacks.append(tuple(word))
-    return Configuration(state, tuple(stacks))
+    toks = _tokens(text)
+    if toks[1:2] != [":"]:
+        if ":" not in toks:
+            raise ParseError(lineno, "expected '<state> : <stacks>'")
+        raise ParseError(lineno, f"bad state field {' '.join(toks[:toks.index(':')])!r}")
+    head = ("state", toks[0], m.states)
+    stacks = _stacks(toks[2:], lineno, m.symbols_by_name, m.stack_count, head, ("configuration has", "listed on"))
+    return Configuration(toks[0], stacks)
 
 
 def serialize_configuration(c: Configuration) -> str:
@@ -283,31 +278,27 @@ def parse_witness(text: str, m: Mpda) -> Witness:
     steps: list[TransitionRule | Cancel] = []
     fragments: dict[tuple[str, StackSymbol], TransitionRule] = {}
     cancels: dict[Cancel, int] = {}  # the line of each macro step's first use
-    # the machine's own rule objects by the tokens of a line; each other line is parsed once
-    by_tokens = {_line_tokens(str(r)): r for r in m.rules}
-    sym_by_name = {s.name: s for alpha in m.alphabets for s in alpha}
+    own = {r: r for r in m.rules}  # the machine's own rule objects
+    by_line: dict[str, TransitionRule] = {}  # the rule steps so far, by their text: each is parsed once
+    sym_by_name = m.symbols_by_name
 
-    def declared(toks: tuple[str, ...], lineno: int) -> TransitionRule:
-        rule = by_tokens.get(toks)
+    def declared(toks: list[str], lineno: int) -> TransitionRule:
+        parsed = _parse_rule_tokens(toks, lineno, m.stack_count, sym_by_name)
+        rule = own.get(parsed)
         if rule is None:
-            parsed = _parse_rule_tokens(toks, lineno, m.stack_count, sym_by_name)
-            rule = next((r for r in m.rules if r == parsed), None)
-            if rule is None:
-                raise ParseError(lineno, f"rule not declared by the machine: {parsed}")
-            by_tokens[toks] = rule
+            raise ParseError(lineno, f"rule not declared by the machine: {parsed}")
         return rule
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
-        if start is None:
-            start = parse_configuration(line, m, lineno)
-            continue
-        toks = _line_tokens(line)
-        rule = by_tokens.get(toks)
+        rule = by_line.get(raw)
         if rule is not None:
             steps.append(rule)
+            continue
+        toks = _tokens(raw)
+        if not toks:
+            continue
+        if start is None:
+            start = parse_configuration(raw, m, lineno)
         elif toks[0] == "define":
             rule = declared(toks[1:], lineno)
             if (rule.src, rule.pop) in fragments:
@@ -324,7 +315,8 @@ def parse_witness(text: str, m: Mpda) -> Witness:
             cancels.setdefault(step, lineno)
             steps.append(step)
         else:
-            steps.append(declared(toks, lineno))
+            rule = by_line[raw] = declared(toks, lineno)
+            steps.append(rule)
     if start is None:
         raise ParseError(1, "empty witness file")
     for step, lineno in cancels.items():
@@ -441,10 +433,9 @@ def _parse_nfa(ts: _Tokens, m: Mpda, stack: int) -> StackNfa:
             src = _ident(ts, "nfa state")
             sym_name = _ident(ts, "symbol")
             dst = _ident(ts, "nfa state")
-            try:
-                sym = m.symbol(sym_name)
-            except MpdaError:
-                raise ParseError(ts.line, f"unknown symbol {sym_name!r}") from None
+            sym = m.symbols_by_name.get(sym_name)
+            if sym is None:
+                raise ParseError(ts.line, f"unknown symbol {sym_name!r}")
             if sym.stack != stack:
                 raise ParseError(ts.line, f"symbol {sym_name!r} belongs to stack {sym.stack + 1}, not {stack + 1}")
             edges.add((src, sym, dst))

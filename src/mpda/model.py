@@ -43,7 +43,10 @@ class InvalidFragment(InvalidWitness):
     what = "fragment {} is invalid"
 
 
-_FORBIDDEN = set(" \t|:#()")
+# Every text format splits a line at these characters, each a token of its
+# own.  No name may hold one, nor whitespace or '#', which starts a comment.
+PUNCTUATION = "{}();:|"
+_FORBIDDEN = frozenset(PUNCTUATION + " \t#")
 
 
 def check_token(tok: str) -> str:
@@ -92,6 +95,7 @@ class Mpda:
     states: tuple[str, ...]
     alphabets: tuple[tuple[StackSymbol, ...], ...]
     rules: tuple[TransitionRule, ...]
+    symbols_by_name: dict[str, StackSymbol] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.states) < 1:
@@ -126,7 +130,7 @@ class Mpda:
                 for sym in w:
                     if sym.stack != i or sym not in symbols:
                         raise MpdaError(f"rule pushes {sym.name} on wrong stack: {r}")
-        object.__setattr__(self, "_symbols_by_name", seen)
+        object.__setattr__(self, "symbols_by_name", seen)
         object.__setattr__(self, "_compiled", {})
 
     @property
@@ -135,7 +139,7 @@ class Mpda:
 
     def symbol(self, name: str) -> StackSymbol:
         try:
-            return self._symbols_by_name[name]  # type: ignore[attr-defined]
+            return self.symbols_by_name[name]
         except KeyError:
             raise MpdaError(f"unknown symbol {name!r}") from None
 

@@ -402,6 +402,15 @@ class TestRegsetOps:
         code, record, _ = run(capsys, "regset", mfile, "enumerate", tfile, "3")
         assert code == 0 and record["members"] == ["q2 :  | "]
 
+    def test_union_prints_without_out(self, workdir, capsys):
+        m = formats.parse_mpda((workdir / "machine.mpda").read_text())
+        tfile = str(workdir / "target.regset")
+        code, record, out = run(capsys, "regset", str(workdir / "machine.mpda"), "union", tfile, tfile)
+        assert code == 0 and record is None
+        L = formats.parse_regset((workdir / "target.regset").read_text(), m)
+        assert out.out == formats.serialize_regset(union(L, L))
+        assert member(formats.parse_regset(out.out, m), formats.parse_configuration("q2 : |", m))
+
     def test_union_round_trip(self, workdir, capsys):
         m = formats.parse_mpda((workdir / "machine.mpda").read_text())
         other = workdir / "other.regset"
@@ -530,3 +539,113 @@ class TestPreAndShrink:
         assert code == 0 and record["witness_length"] == 2 ** 17 - 2 > SHRINK_MAX_FLAT_STEPS
         code, record, _ = run(capsys, "shrink", mfile, "--witness", str(wfile), "--set", str(tmp_path / "target.regset"))
         assert code == 3 and f"a run of {2 ** 17 - 2} steps" in record["error"]
+
+
+# a machine that is strongly normed but not weak: p and q reach each other
+CYCLE = "mpda {\n  states: p q\n  stacks: 1\n  alphabet 1: A\n  rule p A -> q : A\n  rule q A -> p : A\n"
+STRONGLY_NORMED_CYCLE = CYCLE + "  rule p A -> p :\n  rule q A -> q :\n}\n"
+# neither weak nor strongly normed: A is never erased
+PLAIN_CYCLE = CYCLE + "}\n"
+
+
+class TestNonWeakMachines:
+    def machine(self, tmp_path, text):
+        mfile = tmp_path / "m.mpda"
+        mfile.write_text(text)
+        return str(mfile)
+
+    def test_auto_picks_the_separator_for_a_strongly_normed_machine(self, tmp_path, capsys):
+        code, record, _ = run(capsys, "reach", self.machine(tmp_path, STRONGLY_NORMED_CYCLE), "--from", "p : A", "--to", "q :")
+        assert code == 0 and record["method"] == "separator" and record["status"] == "reachable"
+
+    def test_auto_picks_the_oracle_otherwise(self, tmp_path, capsys):
+        mfile = self.machine(tmp_path, PLAIN_CYCLE)
+        code, record, _ = run(capsys, "reach", mfile, "--from", "p : A", "--to", "q : A")
+        assert code == 0 and record["method"] == "oracle" and record["status"] == "reachable"
+        code, record, _ = run(capsys, "reach", mfile, "--from", "p : A", "--to", "q :")
+        assert code == 1 and record["method"] == "oracle" and record["status"] == "unreachable"
+
+    def test_classify_names_the_cycle(self, tmp_path, capsys):
+        code, record, out = run(capsys, "classify", self.machine(tmp_path, STRONGLY_NORMED_CYCLE))
+        assert code == 0
+        assert record["weak"] is False and record["cycle"][0] == record["cycle"][-1]
+        assert set(record["cycle"]) == {"p", "q"}
+        assert record["strongly_normed"] is True and record["normed"] is None
+        assert "weak: no (cycle: " in out.out and "strongly normed: yes" in out.out.splitlines()
+        assert "normed: not checked (machine is not weak)" in out.out
+
+
+class TestSetEndpointErrors:
+    def test_the_oracle_needs_a_source_configuration(self, workdir, capsys):
+        code, record, _ = run(
+            capsys, "reach", str(workdir / "machine.mpda"), "--from", "@" + str(workdir / "target.regset"),
+            "--to", "q2 : |", "--method", "oracle",
+        )
+        assert code == 3 and "the oracle needs a single source configuration" in record["error"]
+
+    def test_wqo_needs_a_target_configuration(self, workdir, capsys):
+        code, record, _ = run(
+            capsys, "reach", str(workdir / "machine.mpda"), "--from", "q1 : X D |",
+            "--to", "@" + str(workdir / "target.regset"), "--method", "wqo",
+        )
+        assert code == 3 and record["error"] == "--method wqo needs a single target configuration"
+
+
+class TestGenFamilies:
+    def test_nonreg_forward(self, tmp_path, capsys):
+        code, record, _ = run(capsys, "gen", "nonreg-forward", "--out", str(tmp_path))
+        assert code == 0 and record["family"] == "nonreg-forward"
+        m = formats.parse_mpda((tmp_path / "machine.mpda").read_text())
+        formats.parse_configuration((tmp_path / "source.cfg").read_text(), m)
+        formats.parse_regset((tmp_path / "target.regset").read_text(), m)
+
+    def test_cfg_intersection(self, tmp_path, capsys):
+        code, record, _ = run(capsys, "gen", "cfg-intersection", "--out", str(tmp_path / "x"))
+        assert code == 3 and record["error"] == "cfg-intersection needs --grammar1 and --grammar2"
+        g1, g2 = tmp_path / "g1.txt", tmp_path / "g2.txt"
+        g1.write_text("terminals: a b\nnonterminals: S T\nstart: S\nS -> a T\nT -> b\n")
+        g2.write_text("terminals: a b\nnonterminals: U\nstart: U\nU -> a U\nU -> b\n")
+        code, _, _ = run(capsys, "gen", "cfg-intersection", "--out", str(tmp_path / "x"), "--grammar1", str(g1))
+        assert code == 3
+        code, record, _ = run(
+            capsys, "gen", "cfg-intersection", "--out", str(tmp_path / "c"), "--grammar1", str(g1), "--grammar2", str(g2),
+        )
+        assert code == 0 and record["family"] == "cfg-intersection"
+        mfile = str(tmp_path / "c" / "machine.mpda")
+        code, record, _ = run(
+            capsys, "reach", mfile, "--from", (tmp_path / "c" / "source.cfg").read_text().strip(),
+            "--to", "@" + str(tmp_path / "c" / "target.regset"), "--method", "oracle",
+        )
+        assert code == 0  # both grammars derive "ab"
+
+    def test_comm_free_needs_a_spec(self, tmp_path, capsys):
+        code, record, _ = run(capsys, "gen", "comm-free", "--out", str(tmp_path))
+        assert code == 3 and record["error"] == "comm-free needs --spec"
+
+    @pytest.mark.parametrize("spec, error", [
+        ("source: 1 0\ntarget: 0 1\n# a comment\nbogus 3\n", "counter spec line 4: unrecognized line"),
+        ("source: 1 0\nrule 1 : 0 1\n", "counter spec needs 'source:' and 'target:' lines"),
+        ("target: 1 0\n", "counter spec needs 'source:' and 'target:' lines"),
+    ])
+    def test_bad_counter_specs(self, tmp_path, capsys, spec, error):
+        sfile = tmp_path / "spec.txt"
+        sfile.write_text(spec)
+        code, record, _ = run(capsys, "gen", "comm-free", "--out", str(tmp_path / "c"), "--spec", str(sfile))
+        assert code == 3 and record["error"] == error
+
+
+class TestPunctuationInNames:
+    def test_reach_on_a_machine_with_punctuation_in_names_exits_3(self, tmp_path, capsys):
+        # the certificate of this unreachable pair once failed to parse back
+        mfile = tmp_path / "m.mpda"
+        mfile.write_text("mpda {\n  states: q{0}\n  stacks: 1\n  alphabet 1: A;1\n  rule q{0} A;1 -> q{0} :\n}\n")
+        cfile = tmp_path / "c.regset"
+        code, record, out = run(
+            capsys, "reach", str(mfile), "--from", "q{0} : A;1", "--to", "q{0} : A;1 A;1",
+            "--method", "separator", "--certificate", str(cfile),
+        )
+        assert code == 3 and record == {"command": "reach", "error": "line 2: names may not contain '{'"}
+        assert not cfile.exists()
+        mfile.write_text("mpda {\n  states: q\n  stacks: 1\n  alphabet 1: A;1\n  rule q A;1 -> q :\n}\n")
+        code, record, _ = run(capsys, "reach", str(mfile), "--from", "q : A", "--to", "q :")
+        assert code == 3 and record["error"] == "line 4: names may not contain ';'"

@@ -6,9 +6,12 @@ import pytest
 from mpda import formats
 from mpda.formats import ParseError
 from mpda.gadgets import anbncn, expo, nonreg_forward
-from mpda.model import Witness
+from mpda.model import (
+    PUNCTUATION, Cancel, Configuration, Mpda, MpdaError, StackSymbol, TransitionRule, Witness, check_token,
+)
+from mpda.regsets import singleton
 
-from helpers import macro_example, random_regset, random_walk, random_weak_mpda
+from helpers import macro_example, random_configuration, random_regset, random_walk, random_weak_mpda
 
 MACHINE = """\
 # the three-block counter machine
@@ -228,8 +231,6 @@ class TestRandomRoundTrips:
         rng = random.Random(91)
         for _ in range(20):
             m = random_weak_mpda(rng, strongly_normed=True)
-            from helpers import random_configuration
-
             w = random_walk(rng, m, random_configuration(rng, m, 3), 5)
             assert formats.parse_witness(formats.serialize_witness(w), m) == w
 
@@ -237,3 +238,96 @@ class TestRandomRoundTrips:
         for inst in (anbncn(), expo(4), nonreg_forward()):
             assert formats.parse_mpda(formats.serialize_mpda(inst.mpda)) == inst.mpda
             assert formats.parse_regset(formats.serialize_regset(inst.target), inst.mpda) == inst.target
+
+
+# every printable character that may occur in a name
+NAME_CHARS = [ch for ch in map(chr, range(33, 127)) if ch not in PUNCTUATION + "#"]
+
+
+def odd_names(rng, count):
+    """`count` distinct names of one to four characters drawn from NAME_CHARS,
+    such as '->', '-a->', 'x.1' or '@'."""
+    names = set()
+    while len(names) < count:
+        name = "".join(rng.choice(NAME_CHARS) for _ in range(rng.randint(1, 4)))
+        if not name.startswith("~"):
+            names.add(name)
+    return sorted(names)
+
+
+def renamed(m, rng):
+    """m with every state and symbol renamed to an odd name, and the renaming
+    of a witness on m."""
+    olds = list(m.states) + [s.name for alpha in m.alphabets for s in alpha]
+    new = dict(zip(olds, odd_names(rng, len(olds))))
+    sym = {s: StackSymbol(new[s.name], s.stack) for alpha in m.alphabets for s in alpha}
+    rule = {r: TransitionRule(new[r.src], sym[r.pop], new[r.dst], tuple(tuple(sym[s] for s in w) for w in r.push))
+            for r in m.rules}
+    m2 = Mpda(tuple(new[q] for q in m.states), tuple(tuple(sym[s] for s in alpha) for alpha in m.alphabets),
+              tuple(rule[r] for r in m.rules))
+
+    def witness(w):
+        def config(c):
+            return Configuration(new[c.state], tuple(tuple(sym[s] for s in st) for st in c.stacks))
+        steps = tuple(Cancel(new[s.src], sym[s.pop]) if isinstance(s, Cancel) else rule[s] for s in w.steps)
+        return Witness(config(w.start), steps, tuple(rule[r] for r in w.fragments))
+
+    return m2, witness
+
+
+class TestLexicalLayer:
+    """One punctuation set: the lexer splits at each of its characters, and
+    no name may hold one, so every file the toolkit writes parses back."""
+
+    @pytest.mark.parametrize("ch", list(PUNCTUATION + " \t#\n"))
+    def test_no_name_holds_a_character_the_lexer_splits_at(self, ch):
+        with pytest.raises(MpdaError):
+            check_token(f"a{ch}b")
+
+    @pytest.mark.parametrize("ch", list(PUNCTUATION))
+    def test_each_punctuation_character_is_a_token(self, ch):
+        assert formats._tokens(f"a{ch}b {ch}{ch}c  # d{ch}e") == ["a", ch, "b", ch, ch, "c"]
+
+    @pytest.mark.parametrize("old, new, line, ch", [
+        ("states: q1 q2", "states: q{0} q2", 3, "{"),
+        ("states: q1 q2", "states: q1 q2}", 3, "}"),
+        ("alphabet 1: X B D", "alphabet 1: X B D A;1", 5, ";"),
+        ("alphabet 2: C", "alphabet 2: C (C)", 6, "("),
+    ])
+    def test_names_with_punctuation_are_rejected(self, old, new, line, ch):
+        with pytest.raises(ParseError) as ei:
+            formats.parse_mpda(MACHINE.replace(old, new))
+        assert (ei.value.line, str(ei.value)) == (line, f"line {line}: names may not contain {ch!r}")
+
+    def test_a_machine_with_punctuation_in_names_is_rejected(self):
+        with pytest.raises(MpdaError, match=re.escape("bad identifier 'q{0}'")):
+            Mpda(("q{0}",), ((StackSymbol("A", 0),),), ())
+        with pytest.raises(MpdaError, match=re.escape("bad identifier 'A;1'")):
+            Mpda(("q",), ((StackSymbol("A;1", 0),),), ())
+
+    def test_keywords_may_be_names(self):
+        m = formats.parse_mpda(
+            "mpda {\n  states: rule states\n  stacks: 2\n  alphabet 1: cancel define\n  alphabet 2: -> mpda\n"
+            "  rule rule cancel -> states : define | ->\n  rule states define -> states : |\n}\n"
+        )
+        assert formats.parse_mpda(formats.serialize_mpda(m)) == m
+        w = Witness(formats.parse_configuration("rule : cancel | ->", m), m.rules)
+        assert formats.parse_witness(formats.serialize_witness(w), m) == w
+        L = singleton(m, w.start)
+        assert formats.parse_regset(formats.serialize_regset(L), m) == L
+
+    def test_odd_names_round_trip(self):
+        rng = random.Random(733)
+        for _ in range(30):
+            m, _ = renamed(random_weak_mpda(rng, strongly_normed=rng.random() < 0.5), rng)
+            text = formats.serialize_mpda(m)
+            assert formats.parse_mpda(text) == m and formats.serialize_mpda(formats.parse_mpda(text)) == text
+            c = random_configuration(rng, m, 4)
+            assert formats.parse_configuration(formats.serialize_configuration(c), m) == c
+            L = random_regset(rng, m)
+            assert formats.parse_regset(formats.serialize_regset(L), m) == L
+            w = random_walk(rng, m, c, 5)
+            assert formats.parse_witness(formats.serialize_witness(w), m) == w
+        m, w = macro_example()
+        m2, rename = renamed(m, rng)
+        assert formats.parse_witness(formats.serialize_witness(rename(w)), m2) == rename(w)

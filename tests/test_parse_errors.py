@@ -169,6 +169,8 @@ def test_witness_errors(text, line, message):
 RELAXED = ("relaxed regular sets over the padded product alphabet are not supported: reachability "
            "from them is undecidable; use per-stack 'regset { ... }' blocks")
 
+# The regset parser reports the line of the next unread token, so a check
+# made after a closing ')' or '}' names the line of the token after it.
 REGSET_ERRORS = [
     ("relaxed-regset { }", 1, RELAXED),
     ("\nrelaxed { }", 2, RELAXED),
