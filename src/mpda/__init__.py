@@ -42,6 +42,7 @@ from .regsets import (
     intersect,
     is_empty,
     is_subset,
+    meets,
     member,
     pre_image,
     singleton,

@@ -54,19 +54,18 @@ def is_weak(m: Mpda) -> WeaknessResult:
                 ready.append(t)
     if len(order) == len(m.states):
         return WeaknessResult(True, tuple(order), None)
-    # find a cycle among the leftover states
-    leftover = [q for q in m.states if indeg[q] > 0]
-    start = leftover[0]
-    path = [start]
-    seen = {start}
-    cur = start
-    while True:
-        cur = next(t for t in sorted(succ[cur]) if indeg[t] > 0)
-        if cur in seen:
-            cycle = path[path.index(cur):] + [cur]
-            return WeaknessResult(False, None, tuple(cycle))
-        seen.add(cur)
+    # the states left after the sort lie on a cycle or below one; drop those
+    # that lead to no state left until every state left leads to one, so a
+    # walk forward from any of them closes a cycle
+    left = {q for q in m.states if indeg[q] > 0}
+    while dead := {q for q in left if not succ[q] & left}:
+        left -= dead
+    cur = next(q for q in m.states if q in left)
+    path = []
+    while cur not in path:
         path.append(cur)
+        cur = next(t for t in sorted(succ[cur]) if t in left)
+    return WeaknessResult(False, None, tuple(path[path.index(cur):] + [cur]))
 
 
 def require_weak(m: Mpda) -> None:

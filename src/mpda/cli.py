@@ -185,9 +185,7 @@ def _decide(args, m: Mpda, method: str, src, tgt) -> Verdict:
         if verdict.complete and cap < needed:  # a source beyond the cap may reach tgt
             verdict = replace(verdict, status="unknown", budget="src-cap")
         return replace(verdict, detail={"src_cap": cap})
-    if method == "separator":
-        return separator.decide_separator(m, _as_set(m, src), _as_set(m, tgt))
-    raise CliError(f"unknown method {method!r}")
+    return separator.decide_separator(m, _as_set(m, src), _as_set(m, tgt))
 
 
 def cmd_reach(args) -> int:
@@ -326,13 +324,11 @@ def cmd_regset(args) -> int:
         res = regsets.is_subset(load(args.args[0]), load(args.args[1]), budget=args.budget)
         _report({"command": "regset", "op": op, "subset": res}, "subset" if res else "not a subset")
         return 0
-    if op == "enumerate":
-        L = load(args.args[0])
-        max_size = _int(args.args[1], "size bound")
-        members = [str(c) for c in regsets.enumerate_members(L, max_size)]
-        _report({"command": "regset", "op": op, "members": members}, "\n".join(members) or "(no members)")
-        return 0
-    raise CliError(f"unknown regset op {op!r}")
+    L = load(args.args[0])  # enumerate
+    max_size = _int(args.args[1], "size bound")
+    members = [str(c) for c in regsets.enumerate_members(L, max_size)]
+    _report({"command": "regset", "op": op, "members": members}, "\n".join(members) or "(no members)")
+    return 0
 
 
 # ---------------------------------------------------------------------- pre
@@ -372,66 +368,92 @@ def cmd_shrink(args) -> int:
 
 # --------------------------------------------------------------------- main
 
-COMMANDS = ("classify", "reach", "gen", "regset", "pre", "shrink")
+def _classify_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("machine")
+
+
+def _reach_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("machine")
+    p.add_argument("--from", dest="src", required=True, help="configuration literal or @file.regset")
+    p.add_argument("--to", required=True, help="configuration literal or @file.regset")
+    p.add_argument("--method", choices=("oracle", "marked", "wqo", "separator", "auto"), default="auto")
+    p.add_argument("--max-size", type=_count, default=None, help="oracle size cap")
+    p.add_argument("--max-explored", type=_count, default=100_000)
+    p.add_argument("--src-cap", type=_count, default=None)
+    p.add_argument("--tgt-cap", type=_count, default=None)
+    p.add_argument("--witness", help="write the witness to this file")
+    p.add_argument("--certificate", help="write a separator certificate to this file")
+
+
+def _gen_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("family", help="anbncn | expo:N | nonreg-forward | cfg-intersection | comm-free")
+    p.add_argument("--out", required=True)
+    p.add_argument("--grammar1")
+    p.add_argument("--grammar2")
+    p.add_argument("--spec")
+
+
+def _regset_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("machine")
+    p.add_argument("op", choices=("member", "union", "intersect", "complement", "is-empty", "is-subset", "enumerate"))
+    p.add_argument("args", nargs="*")
+    p.add_argument("--out")
+    p.add_argument("--budget", type=_count, default=regsets.DEFAULT_DET_BUDGET)
+
+
+def _pre_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("machine")
+    p.add_argument("set")
+    p.add_argument("--out")
+
+
+def _shrink_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("machine")
+    p.add_argument("--witness", required=True)
+    p.add_argument("--set", required=True, help="regular set the source must stay in")
+
+
+# each command: its help line, the function that declares its arguments,
+# and the function that runs it
+_COMMANDS = {
+    "classify": ("check weakness and normedness", _classify_args, cmd_classify),
+    "reach": ("decide reachability between endpoints", _reach_args, cmd_reach),
+    "gen": ("generate a benchmark family instance", _gen_args, cmd_gen),
+    "regset": ("operations on regular configuration sets", _regset_args, cmd_regset),
+    "pre": ("one-step predecessor set", _pre_args, cmd_pre),
+    "shrink": ("drop irrelevant source material of a witness", _shrink_args, cmd_shrink),
+}
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The `mpda` parser; given a command name, with that command's
-    subparser only (building all six costs about a millisecond)."""
+    """The parser of one command, `mpda <command>`, which parses the
+    arguments after the command name; without a command, the full `mpda`
+    parser, whose subparsers are built by the same functions (building all
+    six costs about a millisecond)."""
+    if command is not None:
+        _, add_arguments, run = _COMMANDS[command]
+        p = _Parser(prog=f"mpda {command}")
+        add_arguments(p)
+        p.set_defaults(cmd=command, fn=run)
+        return p
     p = _Parser(prog="mpda", description="multi-pushdown reachability toolkit")
     sub = p.add_subparsers(dest="cmd", required=True)
-
-    if command in (None, "classify"):
-        c = sub.add_parser("classify", help="check weakness and normedness")
-        c.add_argument("machine")
-        c.set_defaults(fn=cmd_classify)
-
-    if command in (None, "reach"):
-        r = sub.add_parser("reach", help="decide reachability between endpoints")
-        r.add_argument("machine")
-        r.add_argument("--from", dest="src", required=True, help="configuration literal or @file.regset")
-        r.add_argument("--to", required=True, help="configuration literal or @file.regset")
-        r.add_argument("--method", choices=("oracle", "marked", "wqo", "separator", "auto"), default="auto")
-        r.add_argument("--max-size", type=_count, default=None, help="oracle size cap")
-        r.add_argument("--max-explored", type=_count, default=100_000)
-        r.add_argument("--src-cap", type=_count, default=None)
-        r.add_argument("--tgt-cap", type=_count, default=None)
-        r.add_argument("--witness", help="write the witness to this file")
-        r.add_argument("--certificate", help="write a separator certificate to this file")
-        r.set_defaults(fn=cmd_reach)
-
-    if command in (None, "gen"):
-        g = sub.add_parser("gen", help="generate a benchmark family instance")
-        g.add_argument("family", help="anbncn | expo:N | nonreg-forward | cfg-intersection | comm-free")
-        g.add_argument("--out", required=True)
-        g.add_argument("--grammar1")
-        g.add_argument("--grammar2")
-        g.add_argument("--spec")
-        g.set_defaults(fn=cmd_gen)
-
-    if command in (None, "regset"):
-        s = sub.add_parser("regset", help="operations on regular configuration sets")
-        s.add_argument("machine")
-        s.add_argument("op", choices=("member", "union", "intersect", "complement", "is-empty", "is-subset", "enumerate"))
-        s.add_argument("args", nargs="*")
-        s.add_argument("--out")
-        s.add_argument("--budget", type=_count, default=regsets.DEFAULT_DET_BUDGET)
-        s.set_defaults(fn=cmd_regset)
-
-    if command in (None, "pre"):
-        pr = sub.add_parser("pre", help="one-step predecessor set")
-        pr.add_argument("machine")
-        pr.add_argument("set")
-        pr.add_argument("--out")
-        pr.set_defaults(fn=cmd_pre)
-
-    if command in (None, "shrink"):
-        sh = sub.add_parser("shrink", help="drop irrelevant source material of a witness")
-        sh.add_argument("machine")
-        sh.add_argument("--witness", required=True)
-        sh.add_argument("--set", required=True, help="regular set the source must stay in")
-        sh.set_defaults(fn=cmd_shrink)
+    for name, (help_line, add_arguments, run) in _COMMANDS.items():
+        c = sub.add_parser(name, help=help_line)
+        add_arguments(c)
+        c.set_defaults(fn=run)
     return p
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """A known command gets only its own parser; help and unknown commands
+    get the full one, for its list of commands."""
+    if not argv or argv[0] not in _COMMANDS:
+        return build_parser().parse_args(argv)
+    args, extra = build_parser(argv[0]).parse_known_args(argv[1:])
+    if extra:  # worded as the full parser words it
+        _Parser(prog="mpda").error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -439,8 +461,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if argv is None:
             argv = sys.argv[1:]
-        # help and unknown commands get the full parser, for its list of commands
-        args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
+        args = _parse_args(argv)
         cmd = args.cmd
         code = args.fn(args)
         sys.stdout.flush()  # a closed stdout raises here, not at exit

@@ -77,12 +77,18 @@ class _Tokens:
             raise ParseError(self.line, f"trailing input starting at {self.toks[self.pos][0]!r}")
 
 
+_LONE = frozenset(PUNCTUATION)
+
+
 def _ident(ts: _Tokens, what: str) -> str:
     tok = ts.next(what)
-    try:
-        check_token(tok)
-    except MpdaError as e:
-        raise ParseError(ts.line, str(e)) from None
+    # `_tokens` leaves no whitespace or '#' in a token, and punctuation only
+    # alone, so only these can fail `check_token`, which words the error
+    if tok in _LONE or tok[0] == "~" or not tok.isprintable():
+        try:
+            check_token(tok)
+        except MpdaError as e:
+            raise ParseError(ts.line, str(e)) from None
     return tok
 
 

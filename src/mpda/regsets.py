@@ -222,6 +222,40 @@ def intersect(L: RegSet, M: RegSet) -> RegSet:
     return RegSet(L.mpda, out)
 
 
+def _reached_pairs(na: StackNfa, nb: StackNfa, alphabet: tuple[StackSymbol, ...]) -> set[tuple]:
+    """The pairs of states of two automata that some word leads to from an
+    initial pair: the states of their `_product`, unnumbered."""
+    da, db = na._delta, nb._delta
+    seen = set(itertools.product(na.initials, nb.initials))
+    todo = list(seen)
+    while todo:
+        s, t = todo.pop()
+        for sym in alphabet:
+            for pair in itertools.product(da.get((s, sym), ()), db.get((t, sym), ())):
+                if pair not in seen:
+                    seen.add(pair)
+                    todo.append(pair)
+    return seen
+
+
+def meets(L: RegSet, M: RegSet) -> bool:
+    """Whether L and M share a member: `not is_empty(intersect(L, M))`,
+    without numbering or building the product automata."""
+    if L.mpda is not M.mpda and L.mpda != M.mpda:
+        raise ValueError("regular sets over different machines")
+    for state in L.components.keys() & M.components.keys():
+        a = L.components[state]
+        b = M.components[state]
+        if not a.accept or not b.accept:  # as complements often are at some states
+            continue
+        reached = [_reached_pairs(na, nb, alpha) for na, nb, alpha in zip(a.nfas, b.nfas, L.mpda.alphabets)]
+        for ta in a.accept:
+            for tb in b.accept:
+                if all(pair in pairs for pairs, pair in zip(reached, zip(ta, tb))):
+                    return True
+    return False
+
+
 def _determinize(nfa: StackNfa, alphabet: tuple[StackSymbol, ...], budget: int) -> tuple[StackNfa, list[frozenset[NfaState]]]:
     """Complete subset automaton whose states are the subset indices; the
     returned list maps each index to its subset (0 is the initial subset)."""
@@ -278,7 +312,7 @@ def is_empty(L: RegSet) -> bool:
 
 
 def is_subset(L: RegSet, M: RegSet, budget: int = DEFAULT_DET_BUDGET) -> bool:
-    return is_empty(intersect(L, complement(M, L.mpda, budget)))
+    return not meets(L, complement(M, L.mpda, budget))
 
 
 def enumerate_members(L: RegSet, max_size: int) -> Iterator[Configuration]:

@@ -24,7 +24,7 @@ from .regsets import (
     complement,
     enumerate_members,
     intersect,
-    is_empty,
+    meets,
     pre_image,
 )
 
@@ -39,15 +39,13 @@ def check_separator(m: Mpda, L: RegSet, K: RegSet, M: RegSet) -> CheckFailure | 
     """None when M certifies that no member of L reaches K; otherwise the
     failed condition with a counterexample."""
     co = complement(M, m)
-    outside = intersect(K, co)
-    if not is_empty(outside):
-        return CheckFailure("misses-target", _small_member(outside))
-    meet = intersect(L, M)
-    if not is_empty(meet):
-        return CheckFailure("touches-source", _small_member(meet))
-    outside = intersect(pre_image(m, M), co)
-    if not is_empty(outside):
-        return CheckFailure("not-backward-closed", _small_member(outside))
+    if meets(K, co):
+        return CheckFailure("misses-target", _small_member(intersect(K, co)))
+    if meets(L, M):
+        return CheckFailure("touches-source", _small_member(intersect(L, M)))
+    pre = pre_image(m, M)
+    if meets(pre, co):
+        return CheckFailure("not-backward-closed", _small_member(intersect(pre, co)))
     return None
 
 
@@ -203,6 +201,6 @@ def decide_separator(m: Mpda, L: RegSet, K: RegSet) -> Verdict:
                 tried_sources.add(s)  # settled for good; retry the rest with bigger budgets
         if rnd == 1:
             M = backward_fixpoint(m, K, detail.setdefault("saturation", {}))
-            if is_empty(intersect(L, M)):
+            if not meets(L, M):
                 return Verdict("unreachable", certificate=M, detail={"strategy": "saturation", **detail})
     return Verdict("unknown", budget="rounds", detail=detail)

@@ -6,6 +6,7 @@ from mpda.classify import (
     NormResult,
     NotStronglyNormed,
     NotWeak,
+    WeaknessResult,
     cancel_table,
     check_cancel_table,
     is_normed,
@@ -70,6 +71,23 @@ class TestWeakness:
         # the reported cycle closes up and only uses state-changing rules
         assert res.cycle[0] == res.cycle[-1]
         assert len(res.cycle) >= 2
+
+    def test_cycle_found_past_a_state_below_it(self):
+        # q lies below the cycle p -> r -> p and leads nowhere
+        m = simple([("p", "A", "q", ""), ("p", "A", "r", ""), ("r", "A", "p", "")], states=("p", "q", "r"))
+        assert is_weak(m) == WeaknessResult(False, None, ("p", "r", "p"))
+
+    def test_reported_cycles_use_state_changing_rules(self):
+        rng = random.Random(8)
+        for _ in range(300):
+            states = tuple(f"s{i}" for i in rng.sample(range(6), rng.randint(2, 6)))
+            m = simple([(rng.choice(states), "A", rng.choice(states), "") for _ in range(rng.randint(1, 9))], states)
+            res = is_weak(m)
+            if res.weak:
+                continue
+            steps = {(r.src, r.dst) for r in m.rules if r.changes_state}
+            assert res.cycle[0] == res.cycle[-1] and len(set(res.cycle)) == len(res.cycle) - 1
+            assert all(step in steps for step in zip(res.cycle, res.cycle[1:])), m.rules
 
     def test_self_loops_do_not_matter(self):
         m = simple([("q0", "A", "q0", "AA"), ("q0", "A", "q1", "")])

@@ -8,7 +8,7 @@ import pytest
 
 import mpda
 from mpda import formats
-from mpda.cli import SHRINK_MAX_FLAT_STEPS, main
+from mpda.cli import SHRINK_MAX_FLAT_STEPS, build_parser, main
 from mpda.gadgets import anbncn
 from mpda.marked import default_tgt_cap
 from mpda.model import Witness, expand, replay
@@ -573,6 +573,67 @@ class TestNonWeakMachines:
         assert record["strongly_normed"] is True and record["normed"] is None
         assert "weak: no (cycle: " in out.out and "strongly normed: yes" in out.out.splitlines()
         assert "normed: not checked (machine is not weak)" in out.out
+
+
+    def test_a_state_below_the_cycle_does_not_crash(self, tmp_path, capsys):
+        # q lies below the cycle p -> r -> p; the cycle search once walked
+        # forward into it and raised StopIteration (exit 4)
+        mfile = self.machine(tmp_path, "mpda {\n  states: p q r\n  stacks: 1\n  alphabet 1: A\n"
+                                       "  rule p A -> q :\n  rule p A -> r :\n  rule r A -> p :\n}\n")
+        code, record, _ = run(capsys, "classify", mfile)
+        assert code == 0 and record["weak"] is False and record["cycle"] == ["p", "r", "p"]
+        code, record, _ = run(capsys, "reach", mfile, "--from", "p : A A", "--to", "q : A", "--method", "auto")
+        assert code == 0 and record["method"] == "oracle"
+
+
+# one sample argument list per command, options included
+SAMPLE_ARGV = {
+    "classify": ["classify", "m.mpda"],
+    "reach": ["reach", "m.mpda", "--from", "q : A", "--to", "@k.regset", "--method", "wqo", "--max-explored", "7",
+              "--src-cap", "2", "--witness", "w.txt"],
+    "gen": ["gen", "expo:3", "--out", "d", "--spec", "s.txt"],
+    "regset": ["regset", "m.mpda", "enumerate", "a.regset", "3", "--budget", "9"],
+    "pre": ["pre", "m.mpda", "k.regset", "--out", "p.regset"],
+    "shrink": ["shrink", "m.mpda", "--witness", "w.txt", "--set", "l.regset"],
+}
+
+
+class TestOneParserPerCommand:
+    @pytest.mark.parametrize("cmd", SAMPLE_ARGV)
+    def test_parses_as_the_full_parser(self, cmd):
+        argv = SAMPLE_ARGV[cmd]
+        assert vars(build_parser(cmd).parse_args(argv[1:])) == vars(build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("cmd", SAMPLE_ARGV)
+    def test_help_is_the_subparsers(self, cmd, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([cmd, "--help"])
+        full = capsys.readouterr().out
+        assert full.startswith(f"usage: mpda {cmd} ")
+        assert build_parser(cmd).format_help() == full
+        with pytest.raises(SystemExit):
+            main([cmd, "--help"])
+        assert capsys.readouterr().out == full
+
+    @pytest.mark.parametrize("cmd", SAMPLE_ARGV)
+    def test_usage_errors_name_the_command(self, cmd, capsys):
+        code, record, _ = run(capsys, cmd)
+        assert code == 3 and record["command"] is None
+        assert record["error"].startswith(f"mpda {cmd}: the following arguments are required: ")
+        assert record["error"].endswith(f"(see 'mpda {cmd} --help')")
+
+    def test_extra_arguments_are_worded_as_the_full_parser_words_them(self, capsys):
+        code, record, _ = run(capsys, *SAMPLE_ARGV["pre"], "extra", "--bogus")
+        assert code == 3
+        assert record["error"] == "mpda: unrecognized arguments: extra --bogus (see 'mpda --help')"
+
+    def test_help_and_unknown_commands_get_the_full_parser(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        out = capsys.readouterr().out
+        assert out.startswith("usage: mpda [-h] {classify,reach,gen,regset,pre,shrink} ...")
+        code, record, _ = run(capsys)
+        assert code == 3 and record["error"].startswith("mpda: the following arguments are required: cmd")
 
 
 class TestSetEndpointErrors:

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from mpda.formats import parse_regset, serialize_regset
-from mpda.gadgets import anbncn
+from mpda.gadgets import anbncn, expo
 from mpda.model import Configuration, Mpda, StackSymbol, successors
 from mpda.regsets import (
     Component,
@@ -17,6 +17,7 @@ from mpda.regsets import (
     intersect,
     is_empty,
     is_subset,
+    meets,
     member,
     pre_image,
     singleton,
@@ -117,6 +118,32 @@ class TestAlgebraAgainstEnumeration:
         assert is_subset(L, L)
         assert is_subset(empty_regset(m), L)
         assert not is_subset(L, singleton(m, cfg(m, "q1", "X", "C")))
+
+
+class TestMeets:
+    def test_agrees_with_the_built_intersection(self):
+        rng = random.Random(4242)
+        seen = set()
+        for n in range(400):
+            m = random_weak_mpda(rng, stacks=1 + n % 3)
+            L = random_regset(rng, m, max_nfa_states=1 + n % 4)
+            M = random_regset(rng, m, max_nfa_states=1 + n % 4)
+            got = meets(L, M)
+            assert got == (not is_empty(intersect(L, M))), n
+            assert meets(M, L) == got
+            seen.add(got)
+        assert seen == {True, False}
+
+    def test_coupled_tuples(self, m):
+        L = odd_or_even_set(m)
+        assert meets(L, L)
+        assert meets(L, singleton(m, cfg(m, "q1", "X", "C")))
+        assert not meets(L, singleton(m, cfg(m, "q1", "X", "")))
+        assert not meets(L, empty_regset(m))
+
+    def test_sets_over_different_machines(self, m):
+        with pytest.raises(ValueError):
+            meets(empty_regset(m), empty_regset(expo(2).mpda))
 
 
 class TestComplementBudget:

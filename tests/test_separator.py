@@ -8,8 +8,21 @@ from mpda.gadgets import expo, nonreg_forward
 from mpda.marked import decide_regreg, reach_marked
 from mpda.model import Configuration, Mpda, StackSymbol, TransitionRule, replay
 from mpda.oracle import OracleBudget, reach_regset
-from mpda.regsets import Component, RegSet, StackNfa, empty_regset, is_subset, member, pre_image, singleton, union
-from mpda.separator import backward_fixpoint, check_separator, decide_separator
+from mpda.regsets import (
+    Component,
+    RegSet,
+    StackNfa,
+    complement,
+    empty_regset,
+    intersect,
+    is_empty,
+    is_subset,
+    member,
+    pre_image,
+    singleton,
+    union,
+)
+from mpda.separator import CheckFailure, _small_member, backward_fixpoint, check_separator, decide_separator
 
 
 @pytest.fixture
@@ -171,6 +184,35 @@ class TestSaturationProperties:
             else:  # small caps: "unknown" is allowed, "reachable" is not
                 assert decide_regreg(m, L, K, src_cap=3, tgt_cap=3).status != "reachable"
         assert seen["unreachable"] >= 50 and seen["reachable"] >= 50
+
+
+def check_by_products(m, L, K, M):
+    """`check_separator` as it was written before `meets`: each condition
+    builds its intersection and tests it for emptiness."""
+    co = complement(M, m)
+    for reason, meet in (
+        ("misses-target", lambda: intersect(K, co)),
+        ("touches-source", lambda: intersect(L, M)),
+        ("not-backward-closed", lambda: intersect(pre_image(m, M), co)),
+    ):
+        built = meet()
+        if not is_empty(built):
+            return CheckFailure(reason, _small_member(built))
+    return None
+
+
+class TestCheckAgainstProducts:
+    def test_certificates_and_their_mutations(self):
+        reasons = Counter()
+        for m, _, L, K in TestSaturationProperties.instances(99):
+            M = decide_separator(m, L, K).certificate
+            for args in ((L, K, M), (K, L, M), (L, K, L), (L, K, K)):
+                if args[2] is None:
+                    continue
+                got = check_separator(m, *args)
+                assert got == check_by_products(m, *args), m.rules
+                reasons[got and got.reason] += 1
+        assert set(reasons) == {None, "misses-target", "touches-source", "not-backward-closed"}, reasons
 
 
 class TestDecide:
