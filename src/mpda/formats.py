@@ -53,9 +53,8 @@ class _Tokens:
 
     @property
     def line(self) -> int:
-        if self.pos < len(self.toks):
-            return self.toks[self.pos][1]
-        return self.toks[-1][1] if self.toks else 1
+        """The line of the last token read, or of the first before any is read."""
+        return self.toks[max(self.pos - 1, 0)][1] if self.toks else 1
 
     def peek(self) -> str | None:
         return self.toks[self.pos][0] if self.pos < len(self.toks) else None
@@ -74,7 +73,8 @@ class _Tokens:
 
     def done(self) -> None:
         if self.pos < len(self.toks):
-            raise ParseError(self.line, f"trailing input starting at {self.toks[self.pos][0]!r}")
+            tok, lineno = self.toks[self.pos]
+            raise ParseError(lineno, f"trailing input starting at {tok!r}")
 
 
 _LONE = frozenset(PUNCTUATION)
@@ -376,7 +376,7 @@ def parse_regset(text: str, m: Mpda) -> RegSet:
 def _parse_component(ts: _Tokens, m: Mpda) -> Component:
     ts.expect("{")
     nfas: dict[int, StackNfa] = {}
-    accept: set[tuple[str, ...]] = set()
+    accept: dict[tuple[str, ...], int] = {}  # each accepting tuple and its line
     saw_accept = False
     while ts.peek() != "}":
         tok = ts.next("'nfa' or 'accept'")
@@ -402,7 +402,7 @@ def _parse_component(ts: _Tokens, m: Mpda) -> Component:
                 ts.expect(")")
                 if len(tup) != m.stack_count:
                     raise ParseError(ts.line, f"accepting tuple has {len(tup)} entries, expected {m.stack_count}")
-                accept.add(tuple(tup))
+                accept.setdefault(tuple(tup), ts.line)
         else:
             raise ParseError(ts.line, f"expected 'nfa' or 'accept', got {tok!r}")
     ts.expect("}")
@@ -411,40 +411,43 @@ def _parse_component(ts: _Tokens, m: Mpda) -> Component:
     if not saw_accept:
         raise ParseError(ts.line, "component is missing an 'accept:' clause")
     ordered = tuple(nfas[i + 1] for i in range(m.stack_count))
-    for tup in accept:
+    for tup, lineno in accept.items():
         for i, st in enumerate(tup):
             if st not in ordered[i].states:
-                raise ParseError(ts.line, f"accepting tuple uses unknown nfa state {st!r}")
+                raise ParseError(lineno, f"accepting tuple uses unknown nfa state {st!r}")
     return Component(ordered, frozenset(accept))
 
 
 def _parse_nfa(ts: _Tokens, m: Mpda, stack: int) -> StackNfa:
     ts.expect("{")
     states: list[str] | None = None
-    initials: list[str] | None = None
-    edges: set[tuple[str, StackSymbol, str]] = set()
+    # the initial states and the edges, each with its line
+    initials: dict[str, int] | None = None
+    edges: dict[tuple[str, StackSymbol, str], int] = {}
     while ts.peek() != "}":
         tok = ts.next("'states', 'initial' or 'edge'")
         if tok == "states":
             ts.expect(":")
             states = []
             while ts.peek() not in (";", "}"):
-                states.append(_ident(ts, "nfa state"))
+                state = _ident(ts, "nfa state")
+                if state in states:
+                    raise ParseError(ts.line, "duplicate nfa state")
+                states.append(state)
         elif tok == "initial":
             ts.expect(":")
-            initials = []
+            initials = {}
             while ts.peek() not in (";", "}"):
-                initials.append(_ident(ts, "nfa state"))
+                initials.setdefault(_ident(ts, "nfa state"), ts.line)
         elif tok == "edge":
             src = _ident(ts, "nfa state")
             sym_name = _ident(ts, "symbol")
-            dst = _ident(ts, "nfa state")
             sym = m.symbols_by_name.get(sym_name)
             if sym is None:
                 raise ParseError(ts.line, f"unknown symbol {sym_name!r}")
             if sym.stack != stack:
                 raise ParseError(ts.line, f"symbol {sym_name!r} belongs to stack {sym.stack + 1}, not {stack + 1}")
-            edges.add((src, sym, dst))
+            edges.setdefault((src, sym, _ident(ts, "nfa state")), ts.line)
         else:
             raise ParseError(ts.line, f"expected 'states', 'initial' or 'edge', got {tok!r}")
         if ts.peek() == ";":
@@ -455,14 +458,12 @@ def _parse_nfa(ts: _Tokens, m: Mpda, stack: int) -> StackNfa:
     if initials is None:
         raise ParseError(ts.line, "nfa is missing an 'initial:' clause")
     known = set(states)
-    if len(known) != len(states):
-        raise ParseError(ts.line, "duplicate nfa state")
-    for s in initials:
+    for s, lineno in initials.items():
         if s not in known:
-            raise ParseError(ts.line, f"initial state {s!r} not declared")
-    for src, _, dst in edges:
+            raise ParseError(lineno, f"initial state {s!r} not declared")
+    for (src, _, dst), lineno in edges.items():
         if src not in known or dst not in known:
-            raise ParseError(ts.line, "edge uses undeclared nfa state")
+            raise ParseError(lineno, "edge uses undeclared nfa state")
     return StackNfa(tuple(states), frozenset(initials), frozenset(edges))
 
 

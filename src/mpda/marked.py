@@ -138,7 +138,7 @@ def decide_marked(m: Mpda, s: Configuration, t: Configuration) -> MarkedSearchRe
     def expand(node: tuple):
         return ((st, nxt) for st, nxt in cm.successors(node) if sum(map(len, nxt[1])) <= bound)
 
-    res = search(map(cm.encode, marked_subconfigurations(s, bound)), expand, cm.encode(annotate(t)).__eq__)
+    res = search((map(cm.encode, marked_subconfigurations(s, bound)),), expand, cm.encode(annotate(t)).__eq__)
     if res.path is None:
         return MarkedSearchResult(False, size_bound=bound)
     return MarkedSearchResult(True, cm.decode(res.path[0]), res.labels, bound)

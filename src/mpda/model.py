@@ -375,23 +375,23 @@ class SearchResult(NamedTuple):
     cut: bool  # the node cap left a node out
 
 
-def search(roots: Iterable[Hashable], expand: Callable[[Any], Iterable[tuple[Any, Hashable]]], is_target: Callable[[Any], bool],
-           depth_first: bool = False, covered: Any = None, max_nodes: int | None = None) -> SearchResult:
-    """Graph search from `roots` to the first node that `is_target` accepts.
+def search(root_groups: Iterable[Iterable[Hashable]], expand: Callable[[Any], Iterable[tuple[Any, Hashable]]],
+           is_target: Callable[[Any], bool], covered: Any = None, max_nodes: int | None = None) -> SearchResult:
+    """Breadth-first search from the roots to the first node that
+    `is_target` accepts.
 
-    `expand(node)` yields `(label, child)` pairs.  A root or child is
-    admitted unless it is covered: by an admitted equal node, or, when a
-    `covered` index (`in` and `add`) is given, by whatever the index says
-    subsumes it.  Admitted nodes are tested against the target at once and
-    keep a parent pointer, which gives the path and its labels.  Roots are
-    drawn lazily: BFS admits every root before expanding; DFS takes the next
-    root only when its stack runs empty, so each root is checked against
-    all reached before it.  At most `max_nodes` nodes are admitted; `cut`
-    says whether that cap left a node out."""
+    The roots come in groups, each drawn only when the search from the
+    groups before it has ended: a group's roots are admitted first, then
+    its frontier is expanded until it is empty.  `expand(node)` yields
+    `(label, child)` pairs.  A root or child is admitted unless it is
+    covered: by an admitted equal node, or, when a `covered` index (`in`
+    and `add`) is given, by whatever the index says subsumes it.  Admitted
+    nodes are tested against the target at once and keep a parent pointer,
+    which gives the path and its labels.  At most `max_nodes` nodes are
+    admitted; `cut` says whether that cap left a node out."""
     parent: dict[Any, tuple[Any, Any] | None] = {}
     seen: Any = parent if covered is None else covered
     frontier: deque[Any] = deque()
-    pending = iter(roots)
 
     def admit(node, via: tuple[Any, Any] | None) -> bool:
         parent[node] = via
@@ -408,27 +408,24 @@ def search(roots: Iterable[Hashable], expand: Callable[[Any], Iterable[tuple[Any
             labels.append(label)
         return SearchResult(tuple(reversed(nodes)), tuple(reversed(labels)), len(parent), False)
 
-    while True:
-        if not frontier:
-            for root in pending:
-                if root in seen:
-                    continue
-                if max_nodes is not None and len(parent) >= max_nodes:
-                    return SearchResult(None, (), len(parent), True)
-                if admit(root, None):
-                    return found(root)
-                if depth_first:
-                    break
-            if not frontier:
-                return SearchResult(None, (), len(parent), False)
-        node = frontier.pop() if depth_first else frontier.popleft()
-        for label, child in expand(node):
-            if child in seen:
+    for roots in root_groups:
+        for root in roots:
+            if root in seen:
                 continue
             if max_nodes is not None and len(parent) >= max_nodes:
                 return SearchResult(None, (), len(parent), True)
-            if admit(child, (node, label)):
-                return found(child)
+            if admit(root, None):
+                return found(root)
+        while frontier:
+            node = frontier.popleft()
+            for label, child in expand(node):
+                if child in seen:
+                    continue
+                if max_nodes is not None and len(parent) >= max_nodes:
+                    return SearchResult(None, (), len(parent), True)
+                if admit(child, (node, label)):
+                    return found(child)
+    return SearchResult(None, (), len(parent), False)
 
 
 def _fragments(w: Witness) -> dict[tuple[str, StackSymbol], TransitionRule]:

@@ -59,7 +59,7 @@ def bfs_reach(m: Mpda, source: Configuration, target: Configuration | RegSet, bu
         def is_target(node: tuple) -> bool:
             return member(target, cm.decode(node))
 
-    res = search((cm.encode(source),), expand, is_target, max_nodes=budget.max_explored)
+    res = search(((cm.encode(source),),), expand, is_target, max_nodes=budget.max_explored)
     if res.path:
         return Verdict("reachable", Witness(source, res.labels), res.explored, truncated)
     if res.cut:

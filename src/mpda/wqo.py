@@ -4,7 +4,7 @@ Configurations carry a color bit per symbol occurrence.  Colored occurrences
 stand for material that is irrelevant to the target and may be dropped by the
 embedding order; the number of uncolored occurrences stays below
 |states| + size(target), which makes the order a well-quasi-order and the
-depth-first search finite.
+breadth-first search finite.
 """
 
 from __future__ import annotations
@@ -126,20 +126,21 @@ def reach_wqo(m: Mpda, sources: Iterable[Configuration], t: Configuration, max_n
     "unknown" when more than `max_nodes` colored configurations would be
     admitted, otherwise exact.
 
-    One depth-first search over the nodes of `colored_machine(m)`, which
-    draws the sources lazily; a new node is skipped when some already
-    admitted node embeds into it (anything it could contribute is then
-    reachable from the smaller node as well).  Every colored step fires a
-    concrete rule, so the colored path with its colors dropped is a run from
-    a source to t, and the rules are its steps."""
+    One breadth-first search over the nodes of `colored_machine(m)`, which
+    draws the sources lazily: one root group per source, its colorings, so
+    each source is searched to the end before the next is drawn.  A new node
+    is skipped when some already admitted node embeds into it (anything it
+    could contribute is then reachable from the smaller node as well).
+    Every colored step fires a concrete rule, so the colored path with its
+    colors dropped is a run from a source to t, and the rules are its
+    steps."""
     require_weak(m)
     limit = len(m.states) + t.size
     target = m.compiled(colored_machine).encode(annotate(t))
     res = search(
-        (c for s in sources for c in source_colorings(m, s, limit)),
+        (source_colorings(m, s, limit) for s in sources),
         lambda node: colored_successors(m, node, uncolored_limit=limit),
         target.__eq__,
-        depth_first=True,
         covered=_Embeddings(),
         max_nodes=max_nodes,
     )

@@ -37,7 +37,7 @@ from mpda.regsets import (
     union,
 )
 from mpda.separator import check_separator, decide_separator
-from mpda.wqo import _uncolored_projection, colored_leq, colored_machine, colored_successors, decide_wqo
+from mpda.wqo import _uncolored_projection, colored_leq, colored_machine, colored_successors, decide_wqo, reach_wqo
 
 from helpers import (
     all_configurations,
@@ -110,13 +110,20 @@ class TestCriterion03MarkedVersusWqo:
 class TestCriterion04OracleVersusWqo:
     def test_200_size_nonincreasing_instances(self):
         rng = random.Random(400)
+        reached = 0
         for _ in range(200):
             m = random_weak_mpda(rng, size_nonincreasing=True)
             s = random_configuration(rng, m, 3)
             t = random_configuration(rng, m, 3)
             v = reach_config(m, s, t, OracleBudget(max_config_size=s.size))
             assert v.status in ("reachable", "unreachable")
-            assert v.reachable == decide_wqo(m, s, t), f"{s} -> {t} on {m.rules}"
+            w = reach_wqo(m, (s,), t)
+            assert w.status == v.status, f"{s} -> {t} on {m.rules}"
+            if w.reachable:
+                # the breadth-first colored search is as short as the oracle's shortest run
+                assert len(w.witness.steps) == len(v.witness.steps), f"{s} -> {t} on {m.rules}"
+                reached += 1
+        assert reached == 62
 
 
 class TestCriterion05PreImage:

@@ -124,22 +124,21 @@ class TestReach:
         assert code == 2 and record["status"] == "unknown" and record["budget"] == "max-explored"
 
     def test_wqo_search_stops_at_max_explored(self, tmp_path, capsys):
-        # a one-state weak machine whose colored search runs for minutes
-        # without a node budget
+        # a weak machine whose colored search admits 158 nodes before it
+        # answers unreachable
         mfile = tmp_path / "grow.mpda"
         mfile.write_text(
-            "mpda {\n  states: q0\n  stacks: 2\n  alphabet 1: A0 A1\n  alphabet 2: B0 B1\n"
-            "  rule q0 B1 -> q0 : A0 A1 |\n  rule q0 B0 -> q0 : |\n  rule q0 A1 -> q0 : | B1 B1\n"
-            "  rule q0 A0 -> q0 : | B1 B0\n  rule q0 B0 -> q0 : | B0\n  rule q0 B0 -> q0 : A1 | B0\n"
-            "  rule q0 A0 -> q0 : A1 |\n}\n"
+            "mpda {\n  states: q0 q1 q2\n  stacks: 2\n  alphabet 1: A0 A1\n  alphabet 2: B0\n"
+            "  rule q1 B0 -> q1 : A1 | B0\n  rule q0 A1 -> q0 : A0 |\n  rule q1 B0 -> q1 : A0 |\n"
+            "  rule q2 B0 -> q2 : |\n  rule q0 A1 -> q1 : |\n  rule q2 A0 -> q2 : A0 | B0\n}\n"
         )
+        query = ("reach", str(mfile), "--from", "q0 : A1 | B0 B0", "--to", "q0 : A0 A1 A0 |")
         for method in ("wqo", "auto"):
-            code, record, _ = run(
-                capsys, "reach", str(mfile), "--from", "q0 : A0 |", "--to", "q0 : A1 | B1 B1",
-                "--method", method, "--max-explored", "200",
-            )
+            code, record, _ = run(capsys, *query, "--method", method, "--max-explored", "100")
             assert code == 2 and record["status"] == "unknown" and record["method"] == "wqo"
-            assert record["budget"] == "max-explored" and record["explored"] == 200
+            assert record["budget"] == "max-explored" and record["explored"] == 100
+        code, record, _ = run(capsys, *query, "--method", "wqo")
+        assert code == 1 and record["status"] == "unreachable" and record["explored"] == 158
 
     def test_auto_picks_wqo_for_config_target(self, workdir, capsys):
         code, record, _ = run(

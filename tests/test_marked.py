@@ -187,7 +187,7 @@ def reference_decide_marked(m, s, t):
                         if nxt.size <= bound:
                             yield st, nxt
 
-    return search(marked_subconfigurations(s, bound), expand, lambda c: c == target)
+    return search((marked_subconfigurations(s, bound),), expand, lambda c: c == target)
 
 
 class TestMarkedMachine:

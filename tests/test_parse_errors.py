@@ -169,8 +169,9 @@ def test_witness_errors(text, line, message):
 RELAXED = ("relaxed regular sets over the padded product alphabet are not supported: reachability "
            "from them is undecidable; use per-stack 'regset { ... }' blocks")
 
-# The regset parser reports the line of the next unread token, so a check
-# made after a closing ')' or '}' names the line of the token after it.
+# The regset parser reports the line of the token a check is about: a check
+# made after a closing ')' or '}' names the line of that token, and one
+# deferred to the end of a block names the line of the entry it rejects.
 REGSET_ERRORS = [
     ("relaxed-regset { }", 1, RELAXED),
     ("\nrelaxed { }", 2, RELAXED),
@@ -188,21 +189,26 @@ REGSET_ERRORS = [
     (regset("nfa 2 {", "nfa 1 {"), 4, "duplicate nfa for stack 1"),
     (regset("accept: (t s)", "reject: (t s)"), 5, "expected 'nfa' or 'accept', got 'reject'"),
     (regset("accept: (t s)", "accept (t s)"), 5, "expected ':', got '('"),
-    (regset("accept: (t s)", "accept: (t)"), 6, "accepting tuple has 1 entries, expected 2"),
-    (regset("accept: (t s)", "accept: (t s s)"), 6, "accepting tuple has 3 entries, expected 2"),
-    (regset("accept: (t s)", "accept: (z s)"), 7, "accepting tuple uses unknown nfa state 'z'"),
+    (regset("accept: (t s)", "accept: (t)"), 5, "accepting tuple has 1 entries, expected 2"),
+    (regset("accept: (t s)", "accept: (t s s)"), 5, "accepting tuple has 3 entries, expected 2"),
+    (regset("accept: (t s)", "accept: (z s)"), 5, "accepting tuple uses unknown nfa state 'z'"),
     (regset("accept: (t s)", "accept: (~t s)"), 5, "identifiers may not start with '~': '~t'"),
-    (regset("    nfa 2 { states: s ; initial: s }\n", ""), 6, "component needs nfas for stacks 1..2"),
-    (regset("    accept: (t s)\n", ""), 6, "component is missing an 'accept:' clause"),
+    (regset("    nfa 2 { states: s ; initial: s }\n", ""), 5, "component needs nfas for stacks 1..2"),
+    (regset("    accept: (t s)\n", ""), 5, "component is missing an 'accept:' clause"),
     (regset("initial: s ; edge", "initial: s ; arc"), 3, "expected 'states', 'initial' or 'edge', got 'arc'"),
     (regset("edge s A t", "edge s Z t"), 3, "unknown symbol 'Z'"),
     (regset("edge s A t", "edge s C t"), 3, "symbol 'C' belongs to stack 2, not 1"),
-    (regset("edge s A t", "edge s A u"), 4, "edge uses undeclared nfa state"),
-    (regset("states: s t ; initial: s ;", "initial: s ;"), 4, "nfa is missing a 'states:' clause"),
-    (regset("states: s t ; initial: s ;", "states: s t ;"), 4, "nfa is missing an 'initial:' clause"),
-    (regset("states: s t ;", "states: s t s ;"), 4, "duplicate nfa state"),
-    (regset("initial: s ;", "initial: u ;"), 4, "initial state 'u' not declared"),
+    (regset("edge s A t", "edge s A u"), 3, "edge uses undeclared nfa state"),
+    (regset("states: s t ; initial: s ;", "initial: s ;"), 3, "nfa is missing a 'states:' clause"),
+    (regset("states: s t ; initial: s ;", "states: s t ;"), 3, "nfa is missing an 'initial:' clause"),
+    (regset("states: s t ;", "states: s t s ;"), 3, "duplicate nfa state"),
+    (regset("initial: s ;", "initial: u ;"), 3, "initial state 'u' not declared"),
     (regset("states: s t ;", "states ;"), 3, "expected ':', got ';'"),
+    # entries on lines of their own
+    (regset("accept: (t s)", "accept: (t s)\n      (z s)"), 6, "accepting tuple uses unknown nfa state 'z'"),
+    (regset("edge s A t }", "edge s A t ;\n      edge t A u\n    }"), 4, "edge uses undeclared nfa state"),
+    (regset("initial: s ;", "initial:\n      s\n      u ;"), 5, "initial state 'u' not declared"),
+    (regset("states: s t ;", "states:\n      s t\n      s ;"), 5, "duplicate nfa state"),
     # an early end of input names what the parser expected, on the last line
     ("regset {\n  state p {\n    nfa 1 {", 3, "unexpected end of input, expected 'states', 'initial' or 'edge'"),
     ("regset {\n  state p {\n", 2, "unexpected end of input, expected 'nfa' or 'accept'"),

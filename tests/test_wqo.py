@@ -4,6 +4,7 @@ import random
 import pytest
 
 from mpda.classify import NotWeak
+from mpda.formats import parse_configuration, parse_mpda
 from mpda.gadgets import anbncn, expo, nonreg_forward
 from mpda.model import AnnotatedSymbol, Configuration, Mpda, StackSymbol, TransitionRule, Witness, annotate, replay, search
 from mpda.oracle import OracleBudget, reach_config
@@ -207,6 +208,33 @@ class TestWitness:
         assert found > 10
 
 
+class TestShortWitnesses:
+    """Reachable instances with short runs on which a depth-first order
+    dives past the witness: both were still undecided after 5,000 nodes."""
+
+    @pytest.mark.parametrize("states, rules, source, target, steps", [
+        pytest.param(
+            "q0",
+            ("q0 B1 -> q0 : A0 A1 |", "q0 B0 -> q0 : |", "q0 A1 -> q0 : | B1 B1", "q0 A0 -> q0 : | B1 B0",
+             "q0 B0 -> q0 : | B0", "q0 B0 -> q0 : A1 | B0", "q0 A0 -> q0 : A1 |"),
+            "q0 : A0 |", "q0 : A1 | B1 B1", 5, id="one-state"),
+        pytest.param(
+            "q0 q1",
+            ("q0 B0 -> q1 : A1 |", "q1 A0 -> q1 : | B1 B1", "q1 B0 -> q1 : | B0", "q1 B1 -> q1 : A1 |",
+             "q1 A1 -> q1 : A1 A0 |", "q1 A1 -> q1 : | B1"),
+            "q0 : A0 | B0 B1", "q1 : A1 A0 A0 | B1", 2, id="two-state"),
+    ])
+    def test_found_within_a_small_budget(self, states, rules, source, target, steps):
+        m = parse_mpda(
+            f"mpda {{\n  states: {states}\n  stacks: 2\n  alphabet 1: A0 A1\n  alphabet 2: B0 B1\n"
+            + "".join(f"  rule {r}\n" for r in rules) + "}\n"
+        )
+        s, t = parse_configuration(source, m), parse_configuration(target, m)
+        v = reach_wqo(m, (s,), t, max_nodes=1000)
+        assert v.status == "reachable" and len(v.witness.steps) == steps
+        assert v.witness.start == s and replay(m, v.witness) == t
+
+
 class TestRegToOne:
     def test_singleton_source(self):
         inst = nonreg_forward()
@@ -231,9 +259,9 @@ class TestRegToOne:
         assert plain(annotate(s)) == s
 
     def test_one_search_over_all_sources(self):
-        # one DFS with one embedding index over every member of L answers
-        # like a search from each member, and its witness starts at the
-        # first member (in enumeration order) that reaches t
+        # one search with one embedding index over every member of L
+        # answers like a search from each member, and its witness starts at
+        # the first member (in enumeration order) that reaches t
         rng = random.Random(21)
         reached = 0
         for _ in range(60):
@@ -313,8 +341,8 @@ def reference_reach_wqo(m, sources, t, max_nodes=None):
                         if uncolored_count(nxt) < limit:
                             yield rule, nxt
 
-    res = search((c for s in sources for c in reference_source_colorings(s, limit)), expand, lambda c: c == target,
-                 depth_first=True, covered=ReferenceEmbeddings(), max_nodes=max_nodes)
+    res = search((reference_source_colorings(s, limit) for s in sources), expand, lambda c: c == target,
+                 covered=ReferenceEmbeddings(), max_nodes=max_nodes)
     if res.cut:
         return "unknown", res.explored, None
     if res.path is None:
