@@ -58,17 +58,14 @@ def mk_subwords(word: Word, colored: frozenset[int] | None = None) -> set[MWord]
     marked, the rest unmarked.  With `colored` given, only D = colored is
     considered (the paper-and-pencil view of one fixed deletion set)."""
     n = len(word)
+    entries = [(AnnotatedSymbol(sym, False), AnnotatedSymbol(sym, True)) for sym in word]
     out: set[MWord] = set()
     deletions = [colored] if colored is not None else [frozenset(c) for k in range(n + 1) for c in itertools.combinations(range(n), k)]
     for d in deletions:
         min_prefix = (max(d) + 1) if d else 0
+        kept = [j for j in range(n) if j not in d]
         for p in range(min_prefix, n + 1):
-            result = tuple(
-                AnnotatedSymbol(word[j], j < p)
-                for j in range(n)
-                if j not in d
-            )
-            out.add(result)
+            out.add(tuple([entries[j][j < p] for j in kept]))
     return out
 
 
@@ -125,6 +122,7 @@ class MarkedSearchResult:
     origin: Configuration | None = None  # of AnnotatedSymbol entries
     steps: tuple[MarkedSubtransition, ...] = ()
     size_bound: int = 0
+    explored: int = 0  # marked configurations admitted
 
 
 def decide_marked(m: Mpda, s: Configuration, t: Configuration) -> MarkedSearchResult:
@@ -134,14 +132,11 @@ def decide_marked(m: Mpda, s: Configuration, t: Configuration) -> MarkedSearchRe
     most size(t) + |states|, seeded with every marked subconfiguration of s."""
     cm = m.compiled(marked_machine).machine
     bound = t.size + len(m.states)
-
-    def expand(node: tuple):
-        return ((st, nxt) for st, nxt in cm.successors(node) if sum(map(len, nxt[1])) <= bound)
-
-    res = search((map(cm.encode, marked_subconfigurations(s, bound)),), expand, cm.encode(annotate(t)).__eq__)
+    res = search((map(cm.encode, marked_subconfigurations(s, bound)),), lambda node: cm.successors(node, bound),
+                 cm.encode(annotate(t)).__eq__)
     if res.path is None:
-        return MarkedSearchResult(False, size_bound=bound)
-    return MarkedSearchResult(True, cm.decode(res.path[0]), res.labels, bound)
+        return MarkedSearchResult(False, size_bound=bound, explored=res.explored)
+    return MarkedSearchResult(True, cm.decode(res.path[0]), res.labels, bound, res.explored)
 
 
 # ------------------------------------------------------------ reconstruction

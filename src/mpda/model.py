@@ -8,6 +8,7 @@ Stacks are stored top-first: index 0 of a stack word is the top symbol.
 from __future__ import annotations
 
 import operator
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Iterable, Iterator, NamedTuple, TypeVar
@@ -158,13 +159,19 @@ class Mpda:
 
 class CompiledMpda:
     """A machine over integer ids.  States and symbols are numbered in the
-    order given, and a node `(state id, stacks)` is a configuration whose
-    stacks are tuples of symbol ids, top first.
+    order given, and stack words are interned: each distinct word of symbol
+    ids has one word id, 0 for the empty word.  For word id w, `words[w]` is
+    its symbols, top first, `top[w]` its top symbol, `rest[w]` the id of
+    the word below that top and `length[w]` its length.  A node
+    `(state id, w_1, ..., w_k)` is a configuration with word w_i on stack
+    i, so nodes are flat tuples of ints that hash and compare in C.
 
     `variants(state, top)` yields `(order, label, dst, push)` for each way a
     node in `state` with `top` on one of its stacks steps: pop that top, go
     to `dst` and push the word `push[i]` on stack i.  It runs once per pair,
-    on first use."""
+    on first use.  Pushing a word maps word ids to word ids by a table of
+    its own, filled on first use.  All tables live on the compiled machine
+    and grow with the words its searches meet."""
 
     def __init__(self, states: Iterable[str], symbols: Iterable[Any], variants: Callable[[int, int], Iterable[tuple]]):
         self.states = tuple(states)
@@ -173,48 +180,113 @@ class CompiledMpda:
         self.symbol_id = {sym: i for i, sym in enumerate(self.symbols)}
         self._variants = variants
         self.rows = [_Row(self, q) for q in range(len(self.states))]
+        self.words: list[tuple[int, ...]] = [()]
+        self.top: list[int] = [-1]
+        self.rest: list[int] = [0]
+        self.length: list[int] = [0]
+        self._cons: dict[int, int] = {}  # rest * |symbols| + top -> word id
+        self._pushes: dict[tuple[int, ...], _Push] = {}  # word -> its push table
+
+    def word_id(self, word: Iterable[int]) -> int:
+        """The id of a word of symbol ids, top first."""
+        return self._pushed(0, tuple(word)[::-1])
+
+    def _pushed(self, w: int, reversed_word: tuple[int, ...]) -> int:
+        """The id of word w with the symbols of `reversed_word` pushed on
+        it, first to last.  Each word in between is interned too, as `rest`
+        needs it."""
+        cons, words, top, rest, length, n = self._cons, self.words, self.top, self.rest, self.length, len(self.symbols)
+        for sym in reversed_word:
+            key = w * n + sym
+            got = cons.get(key)
+            if got is None:
+                got = cons[key] = len(words)
+                words.append((sym,) + words[w])
+                top.append(sym)
+                rest.append(w)
+                length.append(length[w] + 1)
+            w = got
+        return w
 
     def encode(self, c: Configuration) -> tuple:
         try:
-            return self.state_id[c.state], tuple(tuple(self.symbol_id[sym] for sym in w) for w in c.stacks)
+            return (self.state_id[c.state], *[self.word_id([self.symbol_id[sym] for sym in w]) for w in c.stacks])
         except KeyError as e:
             raise InputError(f"{e.args[0]} is not declared by the machine") from None
 
     def decode(self, node: tuple) -> Configuration:
-        state, stacks = node
-        syms = self.symbols
-        return Configuration(self.states[state], tuple(tuple(syms[s] for s in w) for w in stacks))
+        syms, words = self.symbols, self.words
+        return Configuration(self.states[node[0]], tuple(tuple([syms[s] for s in words[w]]) for w in node[1:]))
+
+    def size(self, node: tuple) -> int:
+        return sum(map(self.length.__getitem__, node[1:]))
 
     def enabled(self, node: tuple) -> bool:
-        row = self.rows[node[0]]
-        return any(row[w[0]] for w in node[1] if w)
+        row, top = self.rows[node[0]], self.top
+        return any(row[top[w]] for w in node[1:] if w)
 
-    def successors(self, node: tuple) -> list[tuple[Any, tuple]]:
+    def successors(self, node: tuple, room: int | None = None) -> list[tuple[Any, tuple]]:
         """The label and result node of every variant that fires at `node`,
-        by `order`."""
-        state, stacks = node
-        row = self.rows[state]
-        fired = [v for w in stacks if w for v in row[w[0]]]
+        by `order`; with `room` given, only those of size at most `room`."""
+        row, top, stacks = self.rows[node[0]], self.top, node[1:]
+        fired: list = []
+        for w in stacks:
+            if w:
+                fired += row[top[w]]
         fired.sort()  # orders are distinct, so labels are never compared
+        if room is None:
+            room = sys.maxsize
+        else:
+            room -= self.size(node)
+        rest = self.rest
         out = []
-        for _, label, dst, i, push in fired:
-            popped = list(stacks)
-            popped[i] = stacks[i][1:]
-            out.append((label, (dst, tuple(map(operator.add, push, popped)))))
+        for _, label, dst, i, pushes, growth in fired:
+            if growth > room:
+                continue
+            child = list(node)
+            child[0] = dst
+            child[i] = rest[child[i]]
+            for j, table in pushes:
+                child[j] = table[child[j]]
+            out.append((label, tuple(child)))
         return out
+
+    def _push_table(self, word: tuple[int, ...]) -> "_Push":
+        table = self._pushes.get(word)
+        if table is None:
+            table = self._pushes[word] = _Push()
+            table.cm, table.reversed_word = self, word[::-1]
+        return table
+
+
+class _Push(dict):
+    """Word id -> the id of `reversed_word`, reversed, pushed on it, filled
+    on first use."""
+
+    __slots__ = ("cm", "reversed_word")
+
+    def __missing__(self, w: int) -> int:
+        got = self[w] = self.cm._pushed(w, self.reversed_word)
+        return got
 
 
 class _Row(dict):
     """The cells of one state of a compiled machine: top symbol id -> the
-    variants that pop it, each with the stack it pops, built on first use."""
+    variants that pop it, built on first use.  A variant is `(order, label,
+    dst, i, pushes, growth)`: it pops node entry i (stack i - 1), then
+    pushes with the `(j, push table)` pairs of `pushes` on the node entries
+    j whose words are not empty, and it changes the size by `growth`."""
 
     def __init__(self, cm: CompiledMpda, state: int):
         self.cm = cm
         self.state = state
 
     def __missing__(self, top: int) -> tuple:
-        stack = self.cm.symbols[top].stack
-        cell = self[top] = tuple([(order, label, dst, stack, push) for order, label, dst, push in self.cm._variants(self.state, top)])
+        cm = self.cm
+        i = cm.symbols[top].stack + 1
+        cell = self[top] = tuple([
+            (order, label, dst, i, tuple([(j, cm._push_table(w)) for j, w in enumerate(push, 1) if w]), sum(map(len, push)) - 1)
+            for order, label, dst, push in cm._variants(self.state, top)])
         return cell
 
 
@@ -241,9 +313,9 @@ def annotated_machine(m: Mpda, variants_of: Callable[[TransitionRule, bool], Ite
     symbol_id = own.symbol_id
 
     def annotated_variants(state: int, top: int) -> Iterator[tuple]:
-        for idx, rule, dst, stack, _ in own.rows[state][top >> 1]:
+        for idx, rule, dst, _ in own._variants(state, top >> 1):
             for v, (label, pushes) in enumerate(variants_of(rule, bool(top & 1))):
-                yield (stack, idx, v), label, dst, tuple([tuple([2 * symbol_id[sym] + bit for sym, bit in w]) for w in pushes])
+                yield (rule.pop.stack, idx, v), label, dst, tuple([tuple([2 * symbol_id[sym] + bit for sym, bit in w]) for w in pushes])
 
     return CompiledMpda(m.states, (AnnotatedSymbol(sym, bit) for sym in own.symbols for bit in (False, True)), annotated_variants)
 

@@ -47,7 +47,7 @@ def bfs_reach(m: Mpda, source: Configuration, target: Configuration | RegSet, bu
 
     def expand(node: tuple):
         nonlocal truncated
-        if sum(map(len, node[1])) > budget.max_config_size:
+        if cm.size(node) > budget.max_config_size:
             truncated = truncated or cm.enabled(node)
             return ()
         return cm.successors(node)

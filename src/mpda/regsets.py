@@ -354,13 +354,22 @@ def enumerate_members(L: RegSet, max_size: int) -> Iterator[Configuration]:
 
 
 def pre_image(m: Mpda, M: RegSet) -> RegSet:
-    """The set of configurations with some one-step successor in M.
-
-    Each rule into a component of M gives one summand: the popped stack's
-    automaton gets a new initial state (number n after the n old ones) with
-    an edge reading the popped symbol to wherever the pushed word leads, and
-    every other stack starts where its pushed word leads."""
+    """The set of configurations with some one-step successor in M: the
+    union of its `_pre_summands` at each state."""
     summands: dict[str, list[tuple[list[_Part], frozenset[tuple]]]] = {}
+    for state, parts, accept in _pre_summands(m, M):
+        summands.setdefault(state, []).append((parts, accept))
+    return RegSet(m, {state: _union_components(summed) for state, summed in summands.items()})
+
+
+def _pre_summands(m: Mpda, M: RegSet) -> Iterator[tuple[str, list[_Part], frozenset[tuple]]]:
+    """The summands of `pre_image(m, M)`, as `(state, parts, accepting
+    tuples)` for `_union_components`.  Each rule into a component of M gives
+    one, at its source state, unless a pushed word leads nowhere: the popped
+    stack's automaton gets a new initial state `None` (number n after the n
+    old ones once numbered) with an edge reading the popped symbol to
+    wherever the pushed word leads, and every other stack starts where its
+    pushed word leads."""
     for rule in m.rules:
         comp = M.components.get(rule.dst)
         if comp is None:
@@ -378,5 +387,4 @@ def pre_image(m: Mpda, M: RegSet) -> RegSet:
             else:
                 parts.append((nfa.states, after_push, nfa.edges))
         else:  # every stack survived its pushed word
-            summands.setdefault(rule.src, []).append((parts, comp.accept))
-    return RegSet(m, {state: _union_components(summed) for state, summed in summands.items()})
+            yield rule.src, parts, comp.accept

@@ -17,9 +17,11 @@ from dataclasses import dataclass
 from .model import Configuration, Mpda, StackSymbol, Verdict
 from .oracle import OracleBudget, reach_regset
 from .regsets import (
+    Component,
     RegSet,
     StackNfa,
     _closure,
+    _pre_summands,
     _union_components,
     complement,
     enumerate_members,
@@ -43,9 +45,12 @@ def check_separator(m: Mpda, L: RegSet, K: RegSet, M: RegSet) -> CheckFailure | 
         return CheckFailure("misses-target", _small_member(intersect(K, co)))
     if meets(L, M):
         return CheckFailure("touches-source", _small_member(intersect(L, M)))
-    pre = pre_image(m, M)
-    if meets(pre, co):
-        return CheckFailure("not-backward-closed", _small_member(intersect(pre, co)))
+    # pre(M) meets co when one of its summands does, so no union is numbered
+    # unless a counterexample is drawn
+    for state, parts, accept in _pre_summands(m, M):
+        nfas = tuple(StackNfa(states, frozenset(initials), frozenset(edges)) for states, initials, edges in parts)
+        if meets(RegSet(m, {state: Component(nfas, accept)}), co):
+            return CheckFailure("not-backward-closed", _small_member(intersect(pre_image(m, M), co)))
     return None
 
 

@@ -41,14 +41,19 @@ def colored_machine(m: Mpda) -> CompiledMpda:
     return annotated_machine(m, lambda rule, bit: ((rule, pushes) for pushes in _push_colorings(rule, bit, k)))
 
 
-def colored_leq(a: tuple, b: tuple) -> bool:
-    """Node a is node b with some colored occurrences removed.  Greedy
-    per-stack check: skipped positions of b must be colored, matched
-    positions must agree on both symbol and color.  So a and b share their
-    uncolored projection."""
+def colored_leq(cm: CompiledMpda, a: tuple, b: tuple) -> bool:
+    """Node a of `cm`, a colored machine, is node b with some colored
+    occurrences removed.  Greedy per-stack check: skipped positions of b
+    must be colored, matched positions must agree on both symbol and color.
+    So a and b share their uncolored projection.  Equal word ids are equal
+    words, which embed."""
     if a[0] != b[0]:
         return False
-    for wa, wb in zip(a[1], b[1]):
+    words = cm.words
+    for x, y in zip(a, b):
+        if x == y:
+            continue
+        wa, wb = words[x], words[y]
         i = 0
         for entry in wb:
             if i < len(wa) and entry == wa[i]:
@@ -60,19 +65,22 @@ def colored_leq(a: tuple, b: tuple) -> bool:
     return True
 
 
-def _uncolored_projection(node: tuple) -> tuple:
-    """The state and the uncolored entries, per stack."""
-    return node[0], tuple(tuple(c for c in w if not c & 1) for w in node[1])
+def _uncolored_projection(cm: CompiledMpda, node: tuple) -> tuple:
+    """The state and the uncolored entries of each stack of a node of `cm`."""
+    words = cm.words
+    return node[0], tuple([tuple([c for c in words[w] if not c & 1]) for w in node[1:]])
 
 
 def colored_successors(m: Mpda, node: tuple, uncolored_limit: int | None = None) -> list[tuple[TransitionRule, tuple]]:
     """One colored step from a node of `colored_machine(m)`: each rule fired
     with its result node, keeping those with fewer than `uncolored_limit`
     uncolored occurrences when a limit is given."""
-    out = m.compiled(colored_machine).successors(node)
+    cm = m.compiled(colored_machine)
+    out = cm.successors(node)
     if uncolored_limit is None:
         return out
-    return [(rule, nxt) for rule, nxt in out if sum(1 for w in nxt[1] for c in w if not c & 1) < uncolored_limit]
+    words = cm.words
+    return [(rule, nxt) for rule, nxt in out if sum(1 for w in nxt[1:] for c in words[w] if not c & 1) < uncolored_limit]
 
 
 def _push_colorings(rule: TransitionRule, colored_pop: bool, stack_count: int) -> tuple:
@@ -98,26 +106,31 @@ def _push_colorings(rule: TransitionRule, colored_pop: bool, stack_count: int) -
 def source_colorings(m: Mpda, s: Configuration, uncolored_limit: int):
     """All colorings of s with fewer than uncolored_limit uncolored symbols,
     as nodes of `colored_machine(m)`."""
-    state, stacks = m.compiled().encode(s)
+    own, cm = m.compiled(), m.compiled(colored_machine)
+    state, *ids = own.encode(s)
+    stacks = [own.words[w] for w in ids]
     positions = [(i, p) for i, w in enumerate(stacks) for p in range(len(w))]
     for k in range(min(len(positions), uncolored_limit - 1) + 1):
         for kept in map(set, itertools.combinations(positions, k)):
-            yield state, tuple(tuple(2 * c + ((i, p) not in kept) for p, c in enumerate(w)) for i, w in enumerate(stacks))
+            yield (state, *[cm.word_id([2 * c + ((i, p) not in kept) for p, c in enumerate(w)]) for i, w in enumerate(stacks)])
 
 
 class _Embeddings:
-    """Admitted nodes, bucketed by uncolored projection: `node in index`
-    holds when some admitted v has colored_leq(v, node), and colored_leq
-    only relates nodes of one bucket."""
+    """Admitted nodes of a colored machine, bucketed by uncolored
+    projection: `node in index` holds when some admitted v has
+    colored_leq(cm, v, node), and colored_leq only relates nodes of one
+    bucket."""
 
-    def __init__(self) -> None:
+    def __init__(self, cm: CompiledMpda) -> None:
+        self.cm = cm
         self.buckets: dict[tuple, list[tuple]] = {}
 
     def __contains__(self, node: tuple) -> bool:
-        return any(colored_leq(v, node) for v in self.buckets.get(_uncolored_projection(node), ()))
+        cm = self.cm
+        return any(colored_leq(cm, v, node) for v in self.buckets.get(_uncolored_projection(cm, node), ()))
 
     def add(self, node: tuple) -> None:
-        self.buckets.setdefault(_uncolored_projection(node), []).append(node)
+        self.buckets.setdefault(_uncolored_projection(self.cm, node), []).append(node)
 
 
 def reach_wqo(m: Mpda, sources: Iterable[Configuration], t: Configuration, max_nodes: int | None = None) -> Verdict:
@@ -136,20 +149,20 @@ def reach_wqo(m: Mpda, sources: Iterable[Configuration], t: Configuration, max_n
     steps."""
     require_weak(m)
     limit = len(m.states) + t.size
-    target = m.compiled(colored_machine).encode(annotate(t))
+    cm = m.compiled(colored_machine)
     res = search(
         (source_colorings(m, s, limit) for s in sources),
         lambda node: colored_successors(m, node, uncolored_limit=limit),
-        target.__eq__,
-        covered=_Embeddings(),
+        cm.encode(annotate(t)).__eq__,
+        covered=_Embeddings(cm),
         max_nodes=max_nodes,
     )
     if res.cut:
         return Verdict("unknown", explored=res.explored, budget="max-explored")
     if res.path is None:
         return Verdict("unreachable", explored=res.explored)
-    state, stacks = res.path[0]
-    start = m.compiled().decode((state, tuple(tuple(c >> 1 for c in w) for w in stacks)))
+    start = cm.decode(res.path[0])
+    start = Configuration(start.state, tuple(tuple([e.base for e in w]) for w in start.stacks))
     return Verdict("reachable", Witness(start, res.labels), explored=res.explored)
 
 

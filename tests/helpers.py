@@ -2,11 +2,14 @@
 
 import itertools
 import random
-from typing import Iterator
+from collections import deque
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from mpda.formats import parse_configuration, parse_mpda
 from mpda.gadgets import expo
-from mpda.model import Cancel, Configuration, Mpda, StackSymbol, TransitionRule, Witness, Word, _compositions, successors
+from mpda.model import (
+    Cancel, Configuration, Mpda, NotEnabled, StackSymbol, TransitionRule, Witness, Word, _compositions, step, successors,
+)
 from mpda.regsets import Component, RegSet, StackNfa
 
 
@@ -149,6 +152,68 @@ def fire(c: Configuration, rule: TransitionRule, pushes: tuple) -> Configuration
     stacks = list(c.stacks)
     stacks[rule.pop.stack] = stacks[rule.pop.stack][1:]
     return Configuration(rule.dst, tuple(p + w for p, w in zip(pushes, stacks)))
+
+
+def rule_steps(m: Mpda, c: Configuration) -> list[tuple[TransitionRule, Configuration]]:
+    """`(rule, step(m, c, rule))` for every rule enabled at c, in declaration
+    order."""
+    out = []
+    for rule in m.rules:
+        try:
+            out.append((rule, step(m, c, rule)))
+        except NotEnabled:
+            pass
+    return out
+
+
+class ReferenceResult(NamedTuple):
+    status: str  # "reachable" | "unreachable" | "unknown"
+    explored: int
+    truncated: bool  # a configuration above `max_size` had children
+    start: Configuration | None  # the root of the path found
+    steps: tuple  # the labels of its steps
+
+
+def reference_bfs(roots: Iterable[Configuration], expand: Callable[[Configuration], Iterable[tuple]],
+                  is_target: Callable[[Configuration], bool], max_size: int | None = None,
+                  max_explored: int | None = None) -> ReferenceResult:
+    """A breadth-first search over configurations, written apart from
+    `model.search` to check the deciders against.  The roots are admitted in
+    order, then each admitted configuration is expanded in turn:
+    `expand(c)` gives `(label, child)` pairs, and a child is admitted
+    unless it was admitted before.  A configuration is tested when it is
+    admitted.  One larger than `max_size` is not expanded.  The search says
+    "unknown" when admitting one more would exceed `max_explored`."""
+    parent: dict = {}
+    truncated = False
+    frontier: deque = deque()
+
+    def admit(c: Configuration, via) -> ReferenceResult | None:
+        if max_explored is not None and len(parent) >= max_explored:
+            return ReferenceResult("unknown", len(parent), truncated, None, ())
+        parent[c] = via
+        frontier.append(c)
+        if not is_target(c):
+            return None
+        steps = []
+        while parent[c] is not None:
+            c, label = parent[c]
+            steps.append(label)
+        return ReferenceResult("reachable", len(parent), truncated, c, tuple(reversed(steps)))
+
+    for root in roots:
+        if root not in parent and (done := admit(root, None)):
+            return done
+    while frontier:
+        c = frontier.popleft()
+        children = list(expand(c))
+        if max_size is not None and c.size > max_size:
+            truncated = truncated or bool(children)
+            continue
+        for label, child in children:
+            if child not in parent and (done := admit(child, (c, label))):
+                return done
+    return ReferenceResult("unreachable", len(parent), truncated, None, ())
 
 
 def random_walk(rng: random.Random, m: Mpda, start: Configuration, max_steps: int) -> Witness:

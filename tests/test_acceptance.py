@@ -225,18 +225,19 @@ def _compositions(total, parts):
             yield (head,) + tail
 
 
-def colored_deletions(r):
-    """Every node obtained by dropping a nonempty set of colored
+def colored_deletions(cm, r):
+    """Every node of cm obtained by dropping a nonempty set of colored
     occurrences from node r."""
-    colored_pos = [(i, p) for i, w in enumerate(r[1]) for p, code in enumerate(w) if code & 1]
+    words = [cm.words[w] for w in r[1:]]
+    colored_pos = [(i, p) for i, w in enumerate(words) for p, code in enumerate(w) if code & 1]
     for k in range(1, len(colored_pos) + 1):
         for drop in itertools.combinations(colored_pos, k):
             gone = set(drop)
             yield (
                 r[0],
-                tuple(
-                    tuple(e for p, e in enumerate(w) if (i, p) not in gone)
-                    for i, w in enumerate(r[1])
+                *(
+                    cm.word_id(e for p, e in enumerate(w) if (i, p) not in gone)
+                    for i, w in enumerate(words)
                 ),
             )
 
@@ -246,6 +247,7 @@ class TestCriterion09Compatibility:
         rng = random.Random(900)
         for _ in range(20):
             m = random_weak_mpda(rng, max_states=2, max_rules=4)
+            cm = m.compiled(colored_machine)
             succ_cache = {}
 
             def succ(c):
@@ -257,9 +259,9 @@ class TestCriterion09Compatibility:
                 ups = succ(r)
                 if not ups:
                     continue
-                for rp in colored_deletions(r):
+                for rp in colored_deletions(cm, r):
                     for u in ups:
-                        ok = colored_leq(rp, u) or any(colored_leq(up, u) for up in succ(rp))
+                        ok = colored_leq(cm, rp, u) or any(colored_leq(cm, up, u) for up in succ(rp))
                         assert ok, f"{rp} vs {r} -> {u} on {m.rules}"
 
 
@@ -269,11 +271,12 @@ class TestEmbeddingBuckets:
         rng = random.Random(950)
         for _ in range(10):
             m = random_weak_mpda(rng, max_states=2, max_rules=4)
+            cm = m.compiled(colored_machine)
             small = list(colored_configurations(m, 3))
             for a in small:
                 for b in small:
-                    if colored_leq(a, b):
-                        assert _uncolored_projection(a) == _uncolored_projection(b), f"{a} <= {b}"
+                    if colored_leq(cm, a, b):
+                        assert _uncolored_projection(cm, a) == _uncolored_projection(cm, b), f"{a} <= {b}"
 
 
 class TestCriterion10Shrink:

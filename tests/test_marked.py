@@ -15,12 +15,12 @@ from mpda.marked import (
     subtransitions_for,
 )
 from mpda.formats import serialize_witness
-from mpda.model import AnnotatedSymbol, Cancel, Configuration, Mpda, StackSymbol, TransitionRule, annotate, expand, flat_length, replay, search
+from mpda.model import AnnotatedSymbol, Cancel, Configuration, Mpda, StackSymbol, TransitionRule, annotate, expand, flat_length, replay, step
 from mpda.oracle import OracleBudget, reach_config
 from mpda.regsets import singleton
 from mpda.wqo import reach_wqo
 
-from helpers import fire, nested_eraser_machines, random_configuration, random_walk, random_weak_mpda
+from helpers import fire, nested_eraser_machines, random_configuration, random_walk, random_weak_mpda, reference_bfs
 
 
 def render(w):
@@ -169,13 +169,17 @@ class TestDecideMarked:
 
 
 def reference_decide_marked(m, s, t):
-    """The marked search over configurations of `AnnotatedSymbol` entries:
-    stack by stack, the rules popping the top in declaration order, each
-    with its `subtransitions_for` in order."""
+    """The marked search as `reference_bfs` over configurations of
+    `AnnotatedSymbol` entries: stack by stack, the rules popping the top in
+    declaration order, each with its `subtransitions_for` in order, fired
+    by `step` as a rule that pops the annotated top and pushes the
+    subtransition's words.  Children above the size bound are dropped.
+    Returns the result and whether the bound dropped any child."""
     bound = t.size + len(m.states)
-    target = annotate(t)
+    capped = False
 
     def expand(c):
+        nonlocal capped
         for w in c.stacks:
             if not w:
                 continue
@@ -183,29 +187,49 @@ def reference_decide_marked(m, s, t):
             for rule in m.rules:
                 if rule.src == c.state and rule.pop == top.base:
                     for st in subtransitions_for(rule, top.marked, m.stack_count):
-                        nxt = fire(c, rule, st.pushes)
+                        nxt = step(m, c, TransitionRule(rule.src, top, rule.dst, st.pushes))
                         if nxt.size <= bound:
                             yield st, nxt
+                        else:
+                            capped = True
 
-    return search((marked_subconfigurations(s, bound),), expand, lambda c: c == target)
+    res = reference_bfs(marked_subconfigurations(s, bound), expand, annotate(t).__eq__)
+    return res, capped
+
+
+def marked_machine_matches_reference(m, s, t):
+    """decide_marked against `reference_decide_marked`: the same status,
+    admitted count, origin and steps.  Returns (reachable, capped)."""
+    res = decide_marked(m, s, t)
+    ref, capped = reference_decide_marked(m, s, t)
+    status = "reachable" if res.reachable else "unreachable"
+    assert (status, res.explored, res.origin, res.steps) == (ref.status, ref.explored, ref.start, ref.steps), f"{s} -> {t} on {m.rules}"
+    return res.reachable, capped
 
 
 class TestMarkedMachine:
     def test_search_matches_the_object_level_reference(self):
         rng = random.Random(606)
-        reached = 0
+        seen = []
         for _ in range(220):
             m = random_weak_mpda(rng, strongly_normed=True, max_rules=9)
             s = random_configuration(rng, m, 4)
             t = random_configuration(rng, m, 4)
-            res = decide_marked(m, s, t)
-            ref = reference_decide_marked(m, s, t)
-            assert res.reachable == (ref.path is not None), f"{s} -> {t} on {m.rules}"
-            if res.reachable:
-                reached += 1
-                assert res.origin == ref.path[0]
-                assert res.steps == ref.labels, f"{s} -> {t} on {m.rules}"
-        assert reached > 40
+            seen.append(marked_machine_matches_reference(m, s, t))
+        assert sum(reachable for reachable, _ in seen) > 40
+        # reachable and not, with and without children above the bound
+        assert set(seen) == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_counter_ring_matches_the_reference(self):
+        # a strongly normed 4-counter ring: each counter also drops a token
+        k = 4
+        c = [StackSymbol(f"c{i}", i) for i in range(k)]
+        rules = [TransitionRule("q", c[i], "q", tuple((c[j],) if j == (i + 1) % k else () for j in range(k))) for i in range(k)]
+        rules += [TransitionRule("q", c[i], "q", ((),) * k) for i in range(k)]
+        m = Mpda(("q",), tuple((sym,) for sym in c), tuple(rules))
+        s = Configuration("q", ((c[0],) * 2, (c[1],) * 2, (c[2],), (c[3],)))
+        for t in (Configuration("q", ((), (), (), (c[3],) * 3)), Configuration("q", ((c[0],) * 7, (), (), ()))):
+            marked_machine_matches_reference(m, s, t)
 
 
 class TestReconstruct:

@@ -40,6 +40,7 @@ from helpers import (
     random_configuration,
     random_walk,
     random_weak_mpda,
+    rule_steps,
 )
 
 
@@ -241,6 +242,54 @@ class TestValueSemantics:
                 copy = TransitionRule(r.src, StackSymbol(r.pop.name, r.pop.stack), r.dst, tuple(tuple(w) for w in r.push))
                 assert copy == r and hash(copy) == hash(r)
                 assert (copy.rhs_size, copy.changes_state) == (r.rhs_size, r.changes_state)
+
+
+class TestCompiledMachine:
+    """A compiled machine interns stack words: a node is the state id and
+    one word id per stack."""
+
+    def test_successors_follow_rule_declaration(self):
+        # random walks over `successors`, and so every generated benchmark
+        # instance, depend on this order
+        a, b = StackSymbol("A", 0), StackSymbol("B", 1)
+        rules = (TransitionRule("q", b, "q", ((a,), ())), TransitionRule("q", a, "q", ((), (b, b))),
+                 TransitionRule("q", b, "p", ((), ())), TransitionRule("q", a, "q", ((), ())))
+        m = Mpda(("q", "p"), ((a,), (b,)), rules)
+        c = Configuration("q", ((a,), (b,)))
+        assert [r for r, _ in successors(m, c)] == list(rules)
+        rng = random.Random(31)
+        for _ in range(100):
+            m = random_weak_mpda(rng, stacks=rng.choice((1, 2, 3)), max_rules=8)
+            for _ in range(5):
+                c = random_configuration(rng, m, 5)
+                assert successors(m, c) == rule_steps(m, c)
+
+    def test_one_id_per_word(self, ab):
+        m = ab.mpda
+        cm = m.compiled()
+        c = cfg(m, "q1", "X B B D", "C")
+        node = cm.encode(c)
+        assert len(node) == 1 + m.stack_count and all(type(x) is int for x in node)
+        assert cm.decode(node) == c
+        assert cm.encode(cfg(m, "q1", "X B B D", "C")) == node
+        assert cm.encode(cfg(m, "q1", "", ""))[1:] == (0, 0)
+        w = node[1]
+        assert cm.words[w] == tuple(cm.symbol_id[s] for s in c.stacks[0])
+        assert (cm.top[w], cm.length[w]) == (cm.symbol_id[sym(m, "X")], 4)
+        assert cm.words[cm.rest[w]] == cm.words[w][1:]
+        assert cm.size(node) == c.size
+        # a pushed word reaches the same id as the word encoded whole
+        for _, child in cm.successors(node):
+            assert child == cm.encode(cm.decode(child))
+
+    def test_room_keeps_the_children_that_fit(self):
+        rng = random.Random(37)
+        for _ in range(100):
+            m = random_weak_mpda(rng, stacks=rng.choice((1, 2)), max_rules=8, rhs_cap=3)
+            cm = m.compiled()
+            node = cm.encode(random_configuration(rng, m, 4))
+            for room in range(8):
+                assert cm.successors(node, room) == [(r, n) for r, n in cm.successors(node) if cm.size(n) <= room]
 
 
 class TestValidation:

@@ -1,10 +1,9 @@
 import random
-from collections import deque
 
 import pytest
 
 from mpda.gadgets import anbncn, comm_free_counters, expo, nonreg_forward
-from mpda.model import Configuration, NotEnabled, Witness, replay, step
+from mpda.model import Configuration, Witness, replay
 from mpda.oracle import (
     OracleBudget,
     SourceNotInL,
@@ -18,7 +17,7 @@ from mpda.oracle import (
 from mpda.regsets import Component, RegSet, StackNfa, member, singleton, union
 from mpda.wqo import decide_wqo
 
-from helpers import random_configuration, random_regset, random_walk, random_weak_mpda
+from helpers import ReferenceResult, random_configuration, random_regset, random_walk, random_weak_mpda, reference_bfs, rule_steps
 
 
 def cfg(m, state, *stacks):
@@ -67,50 +66,6 @@ class TestBfs:
             assert v.status in ("reachable", "unreachable")
 
 
-def reference_bfs(m, source, is_target, budget):
-    """The oracle's search over objects, for comparison: `step` fired for
-    every rule in declaration order, a node tested when admitted, nodes
-    above the size cap never expanded.  Returns (status, steps, explored,
-    truncated)."""
-    parent = {}
-    truncated = False
-
-    def path(c):
-        steps = []
-        while parent[c] is not None:
-            c, rule = parent[c]
-            steps.append(rule)
-        return tuple(reversed(steps))
-
-    if budget.max_explored < 1:
-        return "unknown", None, 0, False
-    parent[source] = None
-    if is_target(source):
-        return "reachable", (), 1, False
-    frontier = deque([source])
-    while frontier:
-        c = frontier.popleft()
-        children = []
-        for rule in m.rules:
-            try:
-                children.append((rule, step(m, c, rule)))
-            except NotEnabled:
-                pass
-        if c.size > budget.max_config_size:
-            truncated = truncated or bool(children)
-            continue
-        for rule, child in children:
-            if child in parent:
-                continue
-            if len(parent) >= budget.max_explored:
-                return "unknown", None, len(parent), truncated
-            parent[child] = (c, rule)
-            if is_target(child):
-                return "reachable", path(child), len(parent), truncated
-            frontier.append(child)
-    return "unreachable", None, len(parent), truncated
-
-
 def counter_ring(rng, k):
     """k counters: a ring that moves one token to the next counter, one
     random chord, and one rule that turns a token of the last counter into
@@ -124,24 +79,22 @@ def counter_ring(rng, k):
 
 class TestEquivalence:
     """`bfs_reach` runs on the compiled machine; it must answer exactly as
-    the object-level reference search above."""
+    `reference_bfs` over configurations, which fires every rule with `step`
+    in declaration order and expands nothing above the size cap."""
 
     @staticmethod
     def same(m, source, target, budget):
-        if isinstance(target, Configuration):
-            want = reference_bfs(m, source, lambda c: c == target, budget)
-        else:
-            want = reference_bfs(m, source, lambda c: member(target, c), budget)
+        is_target = target.__eq__ if isinstance(target, Configuration) else (lambda c: member(target, c))
+        want = reference_bfs((source,), lambda c: rule_steps(m, c), is_target, budget.max_config_size, budget.max_explored)
         v = bfs_reach(m, source, target, budget)
-        got = (v.status, v.witness.steps if v.witness else None, v.explored, v.truncated)
+        w = v.witness
+        got = ReferenceResult(v.status, v.explored, v.truncated, w and w.start, w.steps if w else ())
         assert got == want, (m, source, target, budget)
-        if v.witness:
-            assert v.witness.start == source
-        return v.status
+        return v
 
     def test_random_weak_machines(self):
         rng = random.Random(2026)
-        statuses = set()
+        statuses, truncated = set(), set()
         for n in range(240):
             m = random_weak_mpda(rng, max_states=2, stacks=rng.choice((1, 2, 3)), max_rules=rng.randint(3, 10))
             s = random_configuration(rng, m, 5)
@@ -153,8 +106,11 @@ class TestEquivalence:
                 target = replay(m, random_walk(rng, m, s, rng.randint(0, 5)))
             else:
                 target = random_configuration(rng, m, 4)
-            statuses.add(self.same(m, s, target, budget))
+            v = self.same(m, s, target, budget)
+            statuses.add(v.status)
+            truncated.add(v.truncated)
         assert statuses == {"reachable", "unreachable", "unknown"}
+        assert truncated == {True, False}
 
     def test_counter_rings(self):
         rng = random.Random(7)
@@ -164,6 +120,21 @@ class TestEquivalence:
             for target in (replay(m, random_walk(rng, m, s, 6)), random_configuration(rng, m, 6)):
                 for budget in (OracleBudget(s.size + 1), OracleBudget(s.size + 2, max_explored=40)):
                     self.same(m, s, target, budget)
+
+    def test_token_ring(self):
+        # four counters in a ring, 16 tokens: every one of the 969
+        # distributions of 16 tokens is reachable, and none of 17
+        m = comm_free_counters(((1, (0, 1, 0, 0)), (2, (0, 0, 1, 0)), (3, (0, 0, 0, 1)), (4, (1, 0, 0, 0))),
+                               (4, 4, 4, 4), (4, 4, 4, 4)).mpda
+        c1, c2, c3, c4 = (alpha[0] for alpha in m.alphabets)
+        s = Configuration("q", ((c1,) * 4, (c2,) * 4, (c3,) * 4, (c4,) * 4))
+        budget = OracleBudget(s.size)
+        v = self.same(m, s, Configuration("q", ((c1,) * 4, (c2,) * 4, (c3,) * 4, (c4,) * 5)), budget)
+        assert (v.status, v.explored, v.truncated) == ("unreachable", 969, False)
+        v = self.same(m, s, Configuration("q", ((), (), (), (c4,) * 16)), budget)
+        assert (v.status, v.explored, len(v.witness.steps)) == ("reachable", 966, 24)
+        v = self.same(m, s, Configuration("q", ((c1,) * 4, (c2,) * 4, (c3,) * 4, (c4,) * 5)), OracleBudget(s.size, 500))
+        assert (v.status, v.explored) == ("unknown", 500)
 
 
 class TestShortestPath:
