@@ -8,16 +8,14 @@ from .model import (
     Mpda,
     MpdaError,
     NotEnabled,
-    OccurrenceId,
     StackSymbol,
     TransitionRule,
     Verdict,
     Witness,
-    descendant_forest,
     expand,
     flat_length,
-    relevant_occurrences,
     replay,
+    start_occurrences,
     step,
     successors,
 )
@@ -49,7 +47,7 @@ from .regsets import (
     union,
 )
 from .classify import is_normed, is_strongly_normed, is_weak, cancel_table
-from .oracle import OracleBudget, bfs_reach, is_fully_active, shortest_path_length, shrink_source
+from .oracle import OracleBudget, bfs_reach, is_fully_active, shrink_source
 from .marked import decide_marked, decide_regreg, mk_subwords, reach_marked, reconstruct
 from .wqo import colored_leq, colored_successors, decide_wqo, reach_wqo
 from .separator import backward_fixpoint, check_separator, decide_separator

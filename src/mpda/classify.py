@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Cancel, Configuration, Mpda, StackSymbol, TransitionRule, Witness, expand, replay
+from .model import Configuration, Mpda, StackSymbol, TransitionRule
 
 
 class NotWeak(Exception):
@@ -116,20 +116,6 @@ def cancel_table(m: Mpda) -> CancelTable:
         raise NotStronglyNormed(f"symbol {sym.name} cannot be erased in state {q}")
     assert res.cancel is not None
     return res.cancel
-
-
-def check_cancel_table(m: Mpda, table: CancelTable) -> None:
-    """Replay the flat expansion of each `cancel q X` on a lone X; require an
-    empty end."""
-    fragments = tuple(table.values())
-    for q, sym in table:
-        stacks = tuple(
-            (sym,) if i == sym.stack else () for i in range(m.stack_count)
-        )
-        flat = expand(Witness(Configuration(q, stacks), (Cancel(q, sym),), fragments))
-        end = replay(m, flat)
-        if end != m.empty_configuration(q):
-            raise AssertionError(f"canceling sequence for ({q}, {sym.name}) does not erase: ends at {end}")
 
 
 @dataclass(frozen=True)

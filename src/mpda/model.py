@@ -388,14 +388,6 @@ class Witness:
     fragments: tuple[TransitionRule, ...] = ()
 
 
-class OccurrenceId(NamedTuple):
-    """One symbol occurrence in one configuration of a replayed witness."""
-
-    config_index: int
-    stack: int
-    depth: int
-
-
 def step(m: Mpda, c: Configuration, r: TransitionRule) -> Configuration:
     """Fire rule r at c, or raise NotEnabled."""
     if c.state != r.src:
@@ -575,8 +567,7 @@ def replay(m: Mpda, w: Witness) -> Configuration:
 def expand(w: Witness) -> Witness:
     """The flat witness of w: every `cancel q X` replaced by the rule its
     fragment defines, then the expansion of each symbol that rule pushes,
-    stack by stack, top first.  A flat witness is returned as it is, so the
-    occurrence functions, which call each other, expand a witness once."""
+    stack by stack, top first.  A flat witness is returned as it is."""
     if not w.fragments and not any(r.__class__ is Cancel for r in w.steps):
         return w
     flat: dict[tuple[str, StackSymbol], list[TransitionRule]] = {}
@@ -611,86 +602,28 @@ def flat_length(w: Witness) -> int:
     return total
 
 
-def trace(m: Mpda, w: Witness) -> list[Configuration]:
-    """All configurations visited by the flat witness of w, start included."""
-    w = expand(w)
-    cs = [w.start]
-    for i, r in enumerate(w.steps):
-        try:
-            cs.append(step(m, cs[-1], r))
-        except NotEnabled as e:
-            raise InvalidWitness(i, str(e)) from None
-    return cs
-
-
-def occurrences_of(c: Configuration, config_index: int) -> list[OccurrenceId]:
-    return [
-        OccurrenceId(config_index, i, d)
-        for i, w in enumerate(c.stacks)
-        for d in range(len(w))
-    ]
-
-
-def descendant_forest(m: Mpda, w: Witness) -> dict[OccurrenceId, tuple[OccurrenceId, ...]]:
-    """Parent-to-children map over all symbol occurrences along the witness.
-
-    The occurrence popped at step t parents all fresh occurrences of the next
-    configuration; every surviving occurrence parents its shifted copy.
-    Roots are exactly the occurrences of the start configuration.  Steps are
-    those of the flat witness `expand(w)`.
-    """
-    w = expand(w)
-    configs = trace(m, w)
-    children: dict[OccurrenceId, list[OccurrenceId]] = {}
-    for t, c in enumerate(configs):
-        for occ in occurrences_of(c, t):
-            children[occ] = []
-    for t, r in enumerate(w.steps):
-        c = configs[t]
-        i = r.pop.stack
-        involved = OccurrenceId(t, i, 0)
-        for j in range(m.stack_count):
-            for d in range(len(r.push[j])):
-                children[involved].append(OccurrenceId(t + 1, j, d))
-        for j in range(m.stack_count):
-            shift = len(r.push[j])
-            first = 1 if j == i else 0
-            for d in range(first, len(c.stacks[j])):
-                children[OccurrenceId(t, j, d)].append(OccurrenceId(t + 1, j, d - first + shift))
-    return {occ: tuple(cs) for occ, cs in children.items()}
-
-
-def parent_map(forest: dict[OccurrenceId, tuple[OccurrenceId, ...]]) -> dict[OccurrenceId, OccurrenceId]:
-    return {child: p for p, cs in forest.items() for child in cs}
-
-
-def involved_occurrences(m: Mpda, w: Witness) -> list[OccurrenceId]:
-    """The occurrence consumed by each step of `expand(w)`, in step order."""
-    return [OccurrenceId(t, r.pop.stack, 0) for t, r in enumerate(expand(w).steps)]
-
-
-def relevant_occurrences(m: Mpda, w: Witness) -> set[OccurrenceId]:
-    """Occurrences of `expand(w)` with a descendant in the final
-    configuration or in a state-changing step.  Closed under the ancestor
-    relation by construction."""
-    w = expand(w)
-    forest = descendant_forest(m, w)
-    parents = parent_map(forest)
-    final_index = len(w.steps)
-    base: list[OccurrenceId] = occurrences_of(replay(m, w), final_index)
-    for t, r in enumerate(w.steps):
-        if r.changes_state:
-            base.append(OccurrenceId(t, r.pop.stack, 0))
-    relevant: set[OccurrenceId] = set()
-    todo = list(base)
-    while todo:
-        occ = todo.pop()
-        if occ in relevant:
-            continue
-        relevant.add(occ)
-        if occ in parents:
-            todo.append(parents[occ])
-    return relevant
+def start_occurrences(m: Mpda, w: Witness) -> tuple[set[tuple[int, int]], set[tuple[int, int]]]:
+    """The occurrences `(stack, depth)` of w's start that are relevant, and
+    those that are popped: relevant when a descendant is in the end
+    configuration or popped by a state-changing step, popped when some step
+    of the flat run pops a descendant.  One pass over w as written, after
+    `replay` has checked it, on stacks whose entries are the start
+    occurrence they descend from.  A rule pops an entry and pushes copies
+    of it; a `cancel q X` only pops, since its expansion keeps the state and
+    erases all it pushes (see `replay`)."""
+    replay(m, w)
+    stacks = [[(i, d) for d in reversed(range(len(word)))] for i, word in enumerate(w.start.stacks)]
+    relevant, popped = set(), set()
+    for r in w.steps:
+        root = stacks[r.pop.stack].pop()
+        popped.add(root)
+        if r.src != r.dst:
+            relevant.add(root)
+        for stack, word in zip(stacks, r.push):
+            stack += [root] * len(word)
+    for stack in stacks:
+        relevant.update(stack)
+    return relevant, popped
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

@@ -5,19 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import (
-    Configuration,
-    Mpda,
-    OccurrenceId,
-    Verdict,
-    Witness,
-    descendant_forest,
-    expand,
-    occurrences_of,
-    parent_map,
-    relevant_occurrences,
-    search,
-)
+from .model import Configuration, Mpda, Verdict, Witness, search, start_occurrences
 from .regsets import RegSet, member
 
 
@@ -75,34 +63,11 @@ def reach_regset(m: Mpda, source: Configuration, K: RegSet, budget: OracleBudget
     return bfs_reach(m, source, K, budget)
 
 
-def shortest_path_length(
-    m: Mpda,
-    source: Configuration,
-    target: Configuration,
-    budget: OracleBudget,
-) -> int | Verdict:
-    """Length of a shortest rule sequence from source to target, or the
-    (unreachable) verdict."""
-    verdict = reach_config(m, source, target, budget)
-    if verdict.reachable:
-        assert verdict.witness is not None
-        return len(verdict.witness.steps)
-    return verdict
-
-
 def is_fully_active(m: Mpda, w: Witness) -> bool:
-    """Every occurrence of the start configuration has a descendant that is
-    consumed by some step of the flat witness `expand(w)`."""
-    w = expand(w)
-    forest = descendant_forest(m, w)
-    parents = parent_map(forest)
-    active_roots: set[OccurrenceId] = set()
-    for t, rule in enumerate(w.steps):
-        occ = OccurrenceId(t, rule.pop.stack, 0)
-        while occ in parents:
-            occ = parents[occ]
-        active_roots.add(occ)
-    return set(occurrences_of(w.start, 0)) <= active_roots
+    """Every occurrence of the start configuration has a descendant that
+    some step of w pops (its flat run, for a macro witness)."""
+    _, popped = start_occurrences(m, w)
+    return len(popped) == w.start.size  # popped holds start occurrences only
 
 
 def shrink_source(m: Mpda, w: Witness, L: RegSet) -> Configuration:
@@ -112,15 +77,15 @@ def shrink_source(m: Mpda, w: Witness, L: RegSet) -> Configuration:
     Positions whose occurrences are irrelevant to the witness can be deleted
     without breaking reachability of the final configuration; deletions are
     chosen by pumping between repeated per-stack NFA state-set labels, and
-    membership in L is re-checked after every deletion.  A macro witness
-    gives the same answer as its flat run, since `relevant_occurrences`
-    works on `expand(w)`."""
+    membership in L is re-checked after every deletion.  Relevance comes
+    from `start_occurrences`, one pass over w as written, so a macro
+    witness gives the same answer as its flat run without expanding it."""
     if not member(L, w.start):
         raise SourceNotInL(f"{w.start} is not in the given set")
-    relevant = relevant_occurrences(m, w)
+    relevant, _ = start_occurrences(m, w)
     comp = L.components[w.start.state]
     stacks: list[list[tuple[object, bool]]] = [
-        [(sym, OccurrenceId(0, i, d) in relevant) for d, sym in enumerate(word)]
+        [(sym, (i, d) in relevant) for d, sym in enumerate(word)]
         for i, word in enumerate(w.start.stacks)
     ]
 

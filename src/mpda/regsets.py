@@ -126,10 +126,6 @@ def member(L: RegSet, c: Configuration) -> bool:
     return any(all(f in reached[i] for i, f in enumerate(tup)) for tup in comp.accept)
 
 
-def empty_regset(m: Mpda) -> RegSet:
-    return RegSet(m, {})
-
-
 def singleton(m: Mpda, c: Configuration) -> RegSet:
     """The one-configuration set {c}, built from per-stack line automata."""
     nfas = []

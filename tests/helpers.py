@@ -5,11 +5,14 @@ import random
 from collections import deque
 from typing import Callable, Iterable, Iterator, NamedTuple
 
+from mpda.classify import CancelTable
 from mpda.formats import parse_configuration, parse_mpda
 from mpda.gadgets import expo
 from mpda.model import (
-    Cancel, Configuration, Mpda, NotEnabled, StackSymbol, TransitionRule, Witness, Word, _compositions, step, successors,
+    Cancel, Configuration, InvalidWitness, Mpda, NotEnabled, StackSymbol, TransitionRule, Verdict, Witness, Word,
+    _compositions, expand, replay, step, successors,
 )
+from mpda.oracle import OracleBudget, reach_config
 from mpda.regsets import Component, RegSet, StackNfa
 
 
@@ -274,3 +277,126 @@ def bf_higman_leq(c1: Configuration, c2: Configuration) -> bool:
         if not higman_leq(w1[:-1], w2[:-1]):
             return False
     return True
+
+
+def empty_regset(m: Mpda) -> RegSet:
+    return RegSet(m, {})
+
+
+def shortest_path_length(m: Mpda, source: Configuration, target: Configuration, budget: OracleBudget) -> int | Verdict:
+    """Length of a shortest rule sequence from source to target, or the
+    (unreachable) verdict."""
+    verdict = reach_config(m, source, target, budget)
+    if verdict.reachable:
+        assert verdict.witness is not None
+        return len(verdict.witness.steps)
+    return verdict
+
+
+def check_cancel_table(m: Mpda, table: CancelTable) -> None:
+    """Replay the flat expansion of each `cancel q X` on a lone X; require an
+    empty end."""
+    fragments = tuple(table.values())
+    for q, sym in table:
+        stacks = tuple((sym,) if i == sym.stack else () for i in range(m.stack_count))
+        flat = expand(Witness(Configuration(q, stacks), (Cancel(q, sym),), fragments))
+        end = replay(m, flat)
+        if end != m.empty_configuration(q):
+            raise AssertionError(f"canceling sequence for ({q}, {sym.name}) does not erase: ends at {end}")
+
+
+# The descendant forest: the reference that `model.start_occurrences` is
+# checked against.  It builds every configuration of the flat run and one
+# node per symbol occurrence in each.
+
+class OccurrenceId(NamedTuple):
+    """One symbol occurrence in one configuration of a replayed witness."""
+
+    config_index: int
+    stack: int
+    depth: int
+
+
+def trace(m: Mpda, w: Witness) -> list[Configuration]:
+    """All configurations visited by the flat witness of w, start included."""
+    w = expand(w)
+    cs = [w.start]
+    for i, r in enumerate(w.steps):
+        try:
+            cs.append(step(m, cs[-1], r))
+        except NotEnabled as e:
+            raise InvalidWitness(i, str(e)) from None
+    return cs
+
+
+def occurrences_of(c: Configuration, config_index: int) -> list[OccurrenceId]:
+    return [OccurrenceId(config_index, i, d) for i, w in enumerate(c.stacks) for d in range(len(w))]
+
+
+def descendant_forest(m: Mpda, w: Witness) -> dict[OccurrenceId, tuple[OccurrenceId, ...]]:
+    """Parent-to-children map over all symbol occurrences along the witness.
+
+    The occurrence popped at step t parents all fresh occurrences of the next
+    configuration; every surviving occurrence parents its shifted copy.
+    Roots are exactly the occurrences of the start configuration.  Steps are
+    those of the flat witness `expand(w)`.
+    """
+    w = expand(w)
+    configs = trace(m, w)
+    children: dict[OccurrenceId, list[OccurrenceId]] = {}
+    for t, c in enumerate(configs):
+        for occ in occurrences_of(c, t):
+            children[occ] = []
+    for t, r in enumerate(w.steps):
+        c = configs[t]
+        i = r.pop.stack
+        involved = OccurrenceId(t, i, 0)
+        for j in range(m.stack_count):
+            for d in range(len(r.push[j])):
+                children[involved].append(OccurrenceId(t + 1, j, d))
+        for j in range(m.stack_count):
+            shift = len(r.push[j])
+            first = 1 if j == i else 0
+            for d in range(first, len(c.stacks[j])):
+                children[OccurrenceId(t, j, d)].append(OccurrenceId(t + 1, j, d - first + shift))
+    return {occ: tuple(cs) for occ, cs in children.items()}
+
+
+def parent_map(forest: dict[OccurrenceId, tuple[OccurrenceId, ...]]) -> dict[OccurrenceId, OccurrenceId]:
+    return {child: p for p, cs in forest.items() for child in cs}
+
+
+def forest_relevant(m: Mpda, w: Witness) -> set[OccurrenceId]:
+    """Occurrences of `expand(w)` with a descendant in the final
+    configuration or in a state-changing step.  Closed under the ancestor
+    relation by construction."""
+    w = expand(w)
+    parents = parent_map(descendant_forest(m, w))
+    base: list[OccurrenceId] = occurrences_of(replay(m, w), len(w.steps))
+    for t, r in enumerate(w.steps):
+        if r.changes_state:
+            base.append(OccurrenceId(t, r.pop.stack, 0))
+    relevant: set[OccurrenceId] = set()
+    todo = list(base)
+    while todo:
+        occ = todo.pop()
+        if occ in relevant:
+            continue
+        relevant.add(occ)
+        if occ in parents:
+            todo.append(parents[occ])
+    return relevant
+
+
+def forest_fully_active(m: Mpda, w: Witness) -> bool:
+    """Every occurrence of the start configuration has a descendant that is
+    consumed by some step of the flat witness `expand(w)`."""
+    w = expand(w)
+    parents = parent_map(descendant_forest(m, w))
+    active_roots: set[OccurrenceId] = set()
+    for t, rule in enumerate(w.steps):
+        occ = OccurrenceId(t, rule.pop.stack, 0)
+        while occ in parents:
+            occ = parents[occ]
+        active_roots.add(occ)
+    return set(occurrences_of(w.start, 0)) <= active_roots

@@ -15,16 +15,13 @@ from mpda.model import (
     StackSymbol,
     TransitionRule,
     Witness,
-    descendant_forest,
     replay,
     successors,
-    trace,
 )
 from mpda.oracle import (
     OracleBudget,
     is_fully_active,
     reach_config,
-    shortest_path_length,
     shrink_source,
 )
 from mpda.regsets import (
@@ -42,10 +39,13 @@ from mpda.wqo import _uncolored_projection, colored_leq, colored_machine, colore
 from helpers import (
     all_configurations,
     bf_higman_leq,
+    descendant_forest,
     random_configuration,
     random_regset,
     random_walk,
     random_weak_mpda,
+    shortest_path_length,
+    trace,
 )
 
 

@@ -8,7 +8,6 @@ from mpda.classify import (
     NotWeak,
     WeaknessResult,
     cancel_table,
-    check_cancel_table,
     is_normed,
     is_strongly_normed,
     is_weak,
@@ -16,7 +15,7 @@ from mpda.classify import (
 from mpda.gadgets import anbncn, expo, nonreg_forward
 from mpda.model import Cancel, Configuration, Mpda, StackSymbol, TransitionRule, Witness, expand
 
-from helpers import pinned_machines, random_weak_mpda
+from helpers import check_cancel_table, pinned_machines, random_weak_mpda
 
 
 def eager_fragments(table):

@@ -8,7 +8,7 @@ import pytest
 
 import mpda
 from mpda import formats
-from mpda.cli import SHRINK_MAX_FLAT_STEPS, build_parser, main
+from mpda.cli import build_parser, main
 from mpda.gadgets import anbncn
 from mpda.marked import default_tgt_cap
 from mpda.model import Witness, expand, replay
@@ -527,17 +527,21 @@ class TestPreAndShrink:
         assert records[0] == records[1]
         assert records[0]["after"] == "q : X3" and records[0]["removed"] == 1
 
-    def test_shrink_refuses_a_macro_witness_of_a_huge_run(self, tmp_path, capsys):
+    def test_shrink_takes_the_macro_witness_of_a_huge_run(self, tmp_path, capsys):
+        # the top X1 is canceled whole, by 2^17 - 1 flat steps that shrink never builds
         run(capsys, "gen", "expo:17", "--out", str(tmp_path))
         mfile = str(tmp_path / "machine.mpda")
         wfile = tmp_path / "macro.witness"
         code, record, _ = run(
-            capsys, "reach", mfile, "--from", "q : X1", "--to", "q : X17",
+            capsys, "reach", mfile, "--from", "q : X1 X1", "--to", "q : X17",
             "--method", "marked", "--witness", str(wfile),
         )
-        assert code == 0 and record["witness_length"] == 2 ** 17 - 2 > SHRINK_MAX_FLAT_STEPS
-        code, record, _ = run(capsys, "shrink", mfile, "--witness", str(wfile), "--set", str(tmp_path / "target.regset"))
-        assert code == 3 and f"a run of {2 ** 17 - 2} steps" in record["error"]
+        assert code == 0 and record["witness_length"] == 2 ** 18 - 3 and record["witness_steps"] < 40
+        sfile = tmp_path / "x1s.regset"
+        sfile.write_text("regset {\n  state q {\n    nfa 1 { states: s ; initial: s ; edge s X1 s }\n    accept: (s)\n  }\n}\n")
+        code, record, _ = run(capsys, "shrink", mfile, "--witness", str(wfile), "--set", str(sfile))
+        assert code == 0
+        assert (record["before"], record["after"], record["removed"]) == ("q : X1 X1", "q : X1", 1)
 
 
 # a machine that is strongly normed but not weak: p and q reach each other

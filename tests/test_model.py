@@ -13,34 +13,36 @@ from mpda.model import (
     Mpda,
     MpdaError,
     NotEnabled,
-    OccurrenceId,
     StackSymbol,
     TransitionRule,
     Witness,
     annotated_machine,
-    descendant_forest,
     expand,
     flat_length,
-    involved_occurrences,
-    relevant_occurrences,
     replay,
+    start_occurrences,
     step,
     successors,
-    trace,
 )
 from mpda.formats import parse_configuration, parse_witness, serialize_witness
-from mpda.gadgets import anbncn
+from mpda.gadgets import anbncn, expo
+from mpda.marked import reach_marked
 from mpda.oracle import is_fully_active
 
 from helpers import (
     all_configurations,
     bf_higman_leq,
+    descendant_forest,
+    forest_fully_active,
+    forest_relevant,
     higman_leq,
     macro_example,
+    nested_eraser_machines,
     random_configuration,
     random_walk,
     random_weak_mpda,
     rule_steps,
+    trace,
 )
 
 
@@ -153,9 +155,9 @@ class TestMacroWitness:
         flat = expand(w)
         assert trace(m, w) == trace(m, flat)
         assert descendant_forest(m, w) == descendant_forest(m, flat)
-        assert involved_occurrences(m, w) == involved_occurrences(m, flat)
-        assert relevant_occurrences(m, w) == relevant_occurrences(m, flat)
-        assert is_fully_active(m, w) == is_fully_active(m, flat)
+        assert forest_relevant(m, w) == forest_relevant(m, flat)
+        assert start_occurrences(m, w) == start_occurrences(m, flat) == (set(), {(0, 0), (0, 1)})
+        assert is_fully_active(m, w) == is_fully_active(m, flat) == forest_fully_active(m, flat)
 
     @pytest.mark.parametrize("fragments, index, reason", [
         ((3, 1, 2), 0, "changes state"),  # q A -> p
@@ -358,11 +360,8 @@ class TestDescendantForest:
 
     def test_all_occurrences_relevant_here(self, run):
         m, w = run
-        assert len(relevant_occurrences(m, w)) == 14
-
-    def test_involved(self, run):
-        m, w = run
-        assert involved_occurrences(m, w) == [OccurrenceId(0, 0, 0), OccurrenceId(1, 1, 0)]
+        assert len(forest_relevant(m, w)) == 14
+        assert start_occurrences(m, w) == ({(0, 0), (0, 1), (1, 0)}, {(0, 0)})
 
 
 class TestRelevance:
@@ -371,14 +370,58 @@ class TestRelevance:
         m = ab.mpda
         w = Witness(cfg(m, "q1", "X B D", "C"), (m.rules[1], m.rules[2], m.rules[3]))
         assert replay(m, w) == cfg(m, "q2", "", "C")
-        rel = relevant_occurrences(m, w)
+        rel, popped = start_occurrences(m, w)
         # B is popped without changing state and leaves nothing: irrelevant
-        assert OccurrenceId(0, 0, 1) not in rel
+        assert (0, 1) not in rel
         # X is popped by a state-preserving rule too, and leaves nothing
-        assert OccurrenceId(0, 0, 0) not in rel
+        assert (0, 0) not in rel
         # D drives the state change, C survives into the final configuration
-        assert OccurrenceId(0, 0, 2) in rel
-        assert OccurrenceId(0, 1, 0) in rel
+        assert rel == {(0, 2), (1, 0)}
+        # C is never popped
+        assert popped == {(0, 0), (0, 1), (0, 2)}
+
+
+class TestStartOccurrences:
+    """`start_occurrences`, one pass over a witness as written, equals the
+    descendant forest of its flat run (`helpers.forest_relevant` and
+    `helpers.forest_fully_active`) on the start occurrences."""
+
+    @staticmethod
+    def agree(m, w) -> bool:
+        relevant, _ = start_occurrences(m, w)
+        assert relevant == {(o.stack, o.depth) for o in forest_relevant(m, w) if o.config_index == 0}
+        active = is_fully_active(m, w)
+        assert active == forest_fully_active(m, w)
+        return active
+
+    def test_random_walks(self):
+        rng = random.Random(2203)
+        active = 0
+        for _ in range(300):
+            m = random_weak_mpda(rng, stacks=rng.randint(1, 3), max_rules=8)
+            w = random_walk(rng, m, random_configuration(rng, m, 5), rng.randint(0, 12))
+            active += self.agree(m, w)
+        assert 30 < active < 270
+
+    def test_marked_macro_witnesses(self):
+        rng = random.Random(2204)
+        macro = 0
+        for m in nested_eraser_machines():
+            s = random_configuration(rng, m, 3)
+            w = reach_marked(m, s, replay(m, random_walk(rng, m, s, 5))).witness
+            macro += any(r.__class__ is Cancel for r in w.steps)
+            self.agree(m, w)
+        assert macro > 20
+
+    def test_expo(self):
+        # the top X1 is canceled whole; the X1 below it grows into Xn
+        for n in range(2, 11):
+            m = expo(n).mpda
+            x1, xn = m.symbol("X1"), m.symbol(f"X{n}")
+            w = reach_marked(m, Configuration("q", ((x1, x1),)), Configuration("q", ((xn,),))).witness
+            assert flat_length(w) == 2 ** (n + 1) - 3
+            assert self.agree(m, w)
+            assert start_occurrences(m, w) == ({(0, 1)}, {(0, 0), (0, 1)})
 
 
 syms = st.sampled_from([StackSymbol(n, 0) for n in "AB"])

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from mpda.gadgets import anbncn, comm_free_counters, expo, nonreg_forward
-from mpda.model import Configuration, Witness, replay
+from mpda.model import Cancel, Configuration, InvalidWitness, Witness, replay
 from mpda.oracle import (
     OracleBudget,
     SourceNotInL,
@@ -11,13 +11,15 @@ from mpda.oracle import (
     is_fully_active,
     reach_config,
     reach_regset,
-    shortest_path_length,
     shrink_source,
 )
 from mpda.regsets import Component, RegSet, StackNfa, member, singleton, union
 from mpda.wqo import decide_wqo
 
-from helpers import ReferenceResult, random_configuration, random_regset, random_walk, random_weak_mpda, reference_bfs, rule_steps
+from helpers import (
+    ReferenceResult, macro_example, random_configuration, random_regset, random_walk, random_weak_mpda, reference_bfs, rule_steps,
+    shortest_path_length,
+)
 
 
 def cfg(m, state, *stacks):
@@ -171,6 +173,20 @@ class TestFullyActive:
         m = inst.mpda
         w = Witness(cfg(m, "q1", "X D", ""), (m.rules[0], m.rules[1], m.rules[2], m.rules[3], m.rules[4]))
         assert is_fully_active(m, w)
+
+
+class TestBrokenMacroWitness:
+    def test_the_error_names_the_step_as_written(self):
+        # the second `cancel q A` finds B on top; its flat index would be 4
+        m, w = macro_example()
+        broken = Witness(w.start, (Cancel("q", m.symbol("A")),) * 2, w.fragments)
+        with pytest.raises(InvalidWitness) as want:
+            replay(m, broken)
+        assert want.value.index == 1
+        for check in (is_fully_active, lambda m, w: shrink_source(m, w, singleton(m, w.start))):
+            with pytest.raises(InvalidWitness) as got:
+                check(m, broken)
+            assert (got.value.index, str(got.value)) == (1, str(want.value))
 
 
 class TestShrink:

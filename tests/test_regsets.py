@@ -12,7 +12,6 @@ from mpda.regsets import (
     StackNfa,
     TooLarge,
     complement,
-    empty_regset,
     enumerate_members,
     intersect,
     is_empty,
@@ -24,7 +23,7 @@ from mpda.regsets import (
     union,
 )
 
-from helpers import all_configurations, random_configuration, random_regset, random_weak_mpda
+from helpers import all_configurations, empty_regset, random_configuration, random_regset, random_weak_mpda
 
 
 @pytest.fixture

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from helpers import all_configurations, random_configuration, random_regset, random_weak_mpda
+from helpers import all_configurations, empty_regset, random_configuration, random_regset, random_weak_mpda
 from mpda.gadgets import expo, nonreg_forward
 from mpda.marked import decide_regreg, reach_marked
 from mpda.model import Configuration, Mpda, StackSymbol, TransitionRule, replay
@@ -13,7 +13,6 @@ from mpda.regsets import (
     RegSet,
     StackNfa,
     complement,
-    empty_regset,
     intersect,
     is_empty,
     is_subset,
