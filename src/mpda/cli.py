@@ -167,9 +167,7 @@ def _decide(args, m: Mpda, method: str, src, tgt) -> Verdict:
             max_config_size=args.max_size if args.max_size is not None else src.size + 6,
             max_explored=args.max_explored,
         )
-        if isinstance(tgt, Configuration):
-            return oracle.reach_config(m, src, tgt, budget)
-        return oracle.reach_regset(m, src, tgt, budget)
+        return oracle.bfs_reach(m, (src,), tgt, budget)
     if method == "marked":
         if isinstance(src, Configuration) and isinstance(tgt, Configuration):
             return marked.reach_marked(m, src, tgt)

@@ -4,6 +4,7 @@ small instances and as an independent cross-check for the other deciders."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .model import Configuration, Mpda, Verdict, Witness, search, start_occurrences
 from .regsets import RegSet, member
@@ -19,17 +20,20 @@ class OracleBudget:
     max_explored: int = 100_000
 
 
-def bfs_reach(m: Mpda, source: Configuration, target: Configuration | RegSet, budget: OracleBudget) -> Verdict:
-    """Breadth-first search from `source` to a configuration or into a
-    regular set, returning a shortest witness.
+def bfs_reach(m: Mpda, sources: Iterable[Configuration], target: Configuration | RegSet, budget: OracleBudget) -> Verdict:
+    """Breadth-first search from some of `sources` to a configuration or
+    into a regular set, returning a shortest witness from the first source
+    that reaches the target.
 
-    The search runs on the compiled machine's nodes: a configuration target
-    is encoded once and compared as codes; for a regular-set target each
-    admitted node is decoded for `member`.  Configurations larger than the
-    size cap are generated and tested against the target but never
-    expanded, and `truncated` records whether that shaped the search space.
-    The search says "unknown" when the exploration cap cut a node, and
-    "unreachable" otherwise."""
+    The sources are drawn lazily, one root group each, so each source is
+    searched to the end before the next is drawn; the admitted nodes and the
+    exploration cap are shared.  The search runs on the compiled machine's
+    nodes: a configuration target is encoded once and compared as codes;
+    for a regular-set target each admitted node is decoded for `member`.
+    Configurations larger than the size cap are generated and tested
+    against the target but never expanded, and `truncated` records whether
+    that shaped the search space.  The search says "unknown" when the
+    exploration cap cut a node, and "unreachable" otherwise."""
     cm = m.compiled()
     truncated = False
 
@@ -47,20 +51,18 @@ def bfs_reach(m: Mpda, source: Configuration, target: Configuration | RegSet, bu
         def is_target(node: tuple) -> bool:
             return member(target, cm.decode(node))
 
-    res = search(((cm.encode(source),),), expand, is_target, max_nodes=budget.max_explored)
+    res = search(((cm.encode(s),) for s in sources), expand, is_target, max_nodes=budget.max_explored)
     if res.path:
-        return Verdict("reachable", Witness(source, res.labels), res.explored, truncated)
+        return Verdict("reachable", Witness(cm.decode(res.path[0]), res.labels), res.explored, truncated)
     if res.cut:
         return Verdict("unknown", None, res.explored, truncated, budget="max-explored")
     return Verdict("unreachable", None, res.explored, truncated)
 
 
 def reach_config(m: Mpda, source: Configuration, target: Configuration, budget: OracleBudget) -> Verdict:
-    return bfs_reach(m, source, target, budget)
-
-
-def reach_regset(m: Mpda, source: Configuration, K: RegSet, budget: OracleBudget) -> Verdict:
-    return bfs_reach(m, source, K, budget)
+    """`bfs_reach` from one source to one configuration, the form that
+    `bench/workloads.py` calls."""
+    return bfs_reach(m, (source,), target, budget)
 
 
 def is_fully_active(m: Mpda, w: Witness) -> bool:

@@ -321,24 +321,21 @@ def enumerate_members(L: RegSet, max_size: int) -> Iterator[Configuration]:
     m = L.mpda
     for state in sorted(L.components):
         comp = L.components[state]
-        # per stack: words grouped by length, each with its reachable set
+        # per stack: words grouped by length, each with its reachable set;
+        # the words of length n are built when the sizes reach n
         live: list[list[list[tuple[Word, frozenset[NfaState]]]]] = []
+        useful: list[set[NfaState]] = []
         for j, nfa in enumerate(comp.nfas):
             pred: dict[NfaState, set[NfaState]] = {}
             for s, _, t in nfa.edges:
                 pred.setdefault(t, set()).add(s)
-            useful = _closure(pred, {tup[j] for tup in comp.accept})
-            layers = [[((), nfa.initials)]] if nfa.initials & useful else [[]]
-            for _ in range(max_size):
-                nxt = []
-                for word, cur in layers[-1]:
-                    for sym in m.alphabets[j]:
-                        after = nfa.step_set(cur, sym)
-                        if after & useful:
-                            nxt.append((word + (sym,), after))
-                layers.append(nxt)
-            live.append(layers)
+            useful.append(_closure(pred, {tup[j] for tup in comp.accept}))
+            live.append([[((), nfa.initials)]] if nfa.initials & useful[j] else [[]])
         for total in range(max_size + 1):
+            if total:
+                for j, (nfa, layers) in enumerate(zip(comp.nfas, live)):
+                    layers.append([(word + (sym,), after) for word, cur in layers[-1] for sym in m.alphabets[j]
+                                   if (after := nfa.step_set(cur, sym)) & useful[j]])
             batch = []
             for lens in _compositions(total, m.stack_count):
                 for picks in itertools.product(*(live[j][lens[j]] for j in range(m.stack_count))):

@@ -1,21 +1,20 @@
 """Unreachability certificates for strongly normed machines.
 
 A regular set M separates L from K when it contains K, misses L, and is
-closed under one-step predecessors (`check_separator`).  The decider
-interleaves a positive search (oracle runs from small members of L with
-growing budgets) with one negative step: `backward_fixpoint`, a pre*
-saturation of K in the manner of Bouajjani, Esparza & Maler (CONCUR 1997)
-and Schwoon (PhD thesis, TU Munich 2002).  The saturation adds edges to one
-shared automaton per stack until nothing changes, so it always ends; its
-result contains K and is closed under predecessors, and it is exactly
-pre*(K) on one stack."""
+closed under one-step predecessors (`check_separator`).  The decider puts
+two oracle searches from small members of L around one negative step:
+`backward_fixpoint`, a pre* saturation of K in the manner of Bouajjani,
+Esparza & Maler (CONCUR 1997) and Schwoon (PhD thesis, TU Munich 2002).
+The saturation adds edges to one shared automaton per stack until nothing
+changes, so it always ends; its result contains K and is closed under
+predecessors, and it is exactly pre*(K) on one stack."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .model import Configuration, Mpda, StackSymbol, Verdict
-from .oracle import OracleBudget, reach_regset
+from .oracle import OracleBudget, bfs_reach
 from .regsets import (
     Component,
     RegSet,
@@ -27,6 +26,7 @@ from .regsets import (
     enumerate_members,
     intersect,
     meets,
+    member,
     pre_image,
 )
 
@@ -170,42 +170,27 @@ def backward_fixpoint(m: Mpda, K: RegSet, stats: dict | None = None) -> RegSet:
 
 # ----------------------------------------------------------------- decider
 
-# rounds of the decider; each explores more sources with more nodes, and the
-# first then runs the saturation
-ROUNDS = 6
-EXPLORED_PER_ROUND = 2000
-
-
 def decide_separator(m: Mpda, L: RegSet, K: RegSet) -> Verdict:
-    """Semi-decider for L -->* K on strongly normed machines.
+    """Semi-decider for L -->* K on strongly normed machines, in three steps.
 
-    Positive rounds run the oracle from ever-larger members of L with growing
-    budgets; after the first, the saturation `backward_fixpoint(m, K)` is the
-    certificate when it misses L.  A "reachable" verdict's `detail` names
-    `"strategy": "search"` and its `round`, an "unreachable" one
-    `"strategy": "saturation"`; once the saturation has run, `detail` also
-    holds its counts under `"saturation"`.  The verdict is "unknown", with
-    budget "rounds", when the last round ends undecided."""
+    A short oracle search from the members of L up to size 2 runs first.
+    Then the saturation M = `backward_fixpoint(m, K)` is the certificate
+    when it misses L.  Otherwise a longer search runs from the members of L
+    up to size 7 that M keeps: M contains pre*(K), so the members outside it
+    cannot reach K.  A "reachable" verdict's `detail` names `"strategy":
+    "search"` and its `round` (1 or 2), an "unreachable" one `"strategy":
+    "saturation"`; once the saturation has run, `detail` also holds its
+    counts under `"saturation"`.  The verdict is "unknown", with budget
+    "rounds", when the longer search finds no witness."""
     base_size = max([1, *(len(n.states) for comp in K.components.values() for n in comp.nfas)])
-    tried_sources: set[Configuration] = set()
-    detail: dict = {}
-    for rnd in range(1, ROUNDS + 1):
-        # positive: explore from small members of L
-        src_cap = rnd + 1
-        oracle_budget = OracleBudget(
-            max_config_size=src_cap + base_size + rnd,
-            max_explored=EXPLORED_PER_ROUND * rnd,
-        )
-        for s in enumerate_members(L, src_cap):
-            if s in tried_sources:
-                continue
-            verdict = reach_regset(m, s, K, oracle_budget)
-            if verdict.reachable:
-                return Verdict("reachable", witness=verdict.witness, detail={"strategy": "search", "round": rnd, **detail})
-            if verdict.complete and not verdict.truncated:
-                tried_sources.add(s)  # settled for good; retry the rest with bigger budgets
-        if rnd == 1:
-            M = backward_fixpoint(m, K, detail.setdefault("saturation", {}))
-            if not meets(L, M):
-                return Verdict("unreachable", certificate=M, detail={"strategy": "saturation", **detail})
+    verdict = bfs_reach(m, enumerate_members(L, 2), K, OracleBudget(base_size + 3, 2000))
+    if verdict.reachable:
+        return Verdict("reachable", witness=verdict.witness, detail={"strategy": "search", "round": 1})
+    detail: dict = {"saturation": {}}
+    M = backward_fixpoint(m, K, detail["saturation"])
+    if not meets(L, M):
+        return Verdict("unreachable", certificate=M, detail={"strategy": "saturation", **detail})
+    verdict = bfs_reach(m, (s for s in enumerate_members(L, 7) if member(M, s)), K, OracleBudget(base_size + 13, 12_000))
+    if verdict.reachable:
+        return Verdict("reachable", witness=verdict.witness, detail={"strategy": "search", "round": 2, **detail})
     return Verdict("unknown", budget="rounds", detail=detail)

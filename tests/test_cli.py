@@ -471,6 +471,19 @@ class TestSeparatorCertificate:
         assert {k: record[k] for k in ("strategy", "round")} == {"strategy": "search", "round": 1}
         assert "saturation" not in record  # round 1 found the run before the saturation
 
+    def test_sources_beyond_the_short_search_are_found_after_the_saturation(self, tmp_path, capsys):
+        # the short search draws sources up to size 2, so p : A A A waits
+        # for the longer search after the saturation
+        mfile = tmp_path / "m.mpda"
+        mfile.write_text(
+            "mpda {\n  states: p q\n  stacks: 1\n  alphabet 1: A\n"
+            "  rule p A -> q :\n  rule p A -> p :\n  rule q A -> q :\n}\n"
+        )
+        code, record, _ = run(capsys, "reach", str(mfile), "--from", "p : A A A", "--to", "q : A A", "--method", "separator")
+        assert code == 0 and record["witness_length"] == 1
+        assert {k: record[k] for k in ("strategy", "round")} == {"strategy": "search", "round": 2}
+        assert record["saturation"] == {"contexts": 4, "edges": 8, "nodes": 6, "passes": 3}
+
 
 class TestPreAndShrink:
     def test_pre_writes_parseable_set(self, workdir, capsys):

@@ -12,7 +12,7 @@ from mpda.gadgets import (
     parse_grammar,
 )
 from mpda.model import Configuration, replay
-from mpda.oracle import OracleBudget, reach_regset
+from mpda.oracle import OracleBudget, bfs_reach
 from mpda.regsets import member, singleton
 
 
@@ -21,7 +21,7 @@ class TestFamilies:
         inst = anbncn()
         assert is_weak(inst.mpda).weak
         assert not is_strongly_normed(inst.mpda).strongly_normed
-        v = reach_regset(inst.mpda, inst.source, inst.target, OracleBudget(6))
+        v = bfs_reach(inst.mpda, (inst.source,), inst.target, OracleBudget(6))
         assert v.reachable
 
     def test_expo_validation(self):
@@ -40,7 +40,7 @@ class TestFamilies:
         for k in range(3):
             for l in range(3):
                 tgt = Configuration("q", ((x,) + (a,) * k, (b,) * l))
-                v = reach_regset(m, inst.source, singleton(m, tgt), OracleBudget(2 * (k + l) + 4))
+                v = bfs_reach(m, (inst.source,), singleton(m, tgt), OracleBudget(2 * (k + l) + 4))
                 assert v.reachable == (k >= l), (k, l)
 
 
@@ -48,13 +48,13 @@ class TestCommFreeCounters:
     def test_token_shuffle(self):
         # one rule moves a token from counter 1 to counter 2
         inst = comm_free_counters(((1, (0, 1)),), (2, 0), (0, 2))
-        v = reach_regset(inst.mpda, inst.source, inst.target, OracleBudget(4))
+        v = bfs_reach(inst.mpda, (inst.source,), inst.target, OracleBudget(4))
         assert v.reachable
         assert len(v.witness.steps) == 2
 
     def test_unreachable_count(self):
         inst = comm_free_counters(((1, (0, 1)),), (2, 0), (2, 1))
-        v = reach_regset(inst.mpda, inst.source, inst.target, OracleBudget(4))
+        v = bfs_reach(inst.mpda, (inst.source,), inst.target, OracleBudget(4))
         assert v.status == "unreachable"
 
     def test_validation(self):
@@ -117,7 +117,7 @@ class TestCfgIntersection:
         g1 = self.g("terminals: a b\nnonterminals: S T\nstart: S\nS -> a T\nT -> b")
         g2 = self.g("terminals: a b\nnonterminals: U V\nstart: U\nU -> a V\nV -> b")
         inst = cfg_intersection(g1, g2)
-        v = reach_regset(inst.mpda, inst.source, inst.target, OracleBudget(8))
+        v = bfs_reach(inst.mpda, (inst.source,), inst.target, OracleBudget(8))
         assert v.reachable
         assert member(inst.target, replay(inst.mpda, v.witness))
 
@@ -125,7 +125,7 @@ class TestCfgIntersection:
         g1 = self.g("terminals: a b\nnonterminals: S\nstart: S\nS -> a")
         g2 = self.g("terminals: a b\nnonterminals: T\nstart: T\nT -> b")
         inst = cfg_intersection(g1, g2)
-        v = reach_regset(inst.mpda, inst.source, inst.target, OracleBudget(6))
+        v = bfs_reach(inst.mpda, (inst.source,), inst.target, OracleBudget(6))
         assert v.status == "unreachable"
 
     def test_longer_common_word(self):
@@ -133,5 +133,5 @@ class TestCfgIntersection:
         g1 = self.g("terminals: a b\nnonterminals: S\nstart: S\nS -> a S\nS -> b")
         g2 = self.g("terminals: a b\nnonterminals: U V W\nstart: U\nU -> a V\nV -> a W\nW -> b")
         inst = cfg_intersection(g1, g2)
-        v = reach_regset(inst.mpda, inst.source, inst.target, OracleBudget(10, max_explored=200_000))
+        v = bfs_reach(inst.mpda, (inst.source,), inst.target, OracleBudget(10, max_explored=200_000))
         assert v.reachable

@@ -3,14 +3,13 @@ import random
 import pytest
 
 from mpda.gadgets import anbncn, comm_free_counters, expo, nonreg_forward
-from mpda.model import Cancel, Configuration, InvalidWitness, Witness, replay
+from mpda.model import Cancel, Configuration, InvalidWitness, Mpda, StackSymbol, TransitionRule, Witness, replay
 from mpda.oracle import (
     OracleBudget,
     SourceNotInL,
     bfs_reach,
     is_fully_active,
     reach_config,
-    reach_regset,
     shrink_source,
 )
 from mpda.regsets import Component, RegSet, StackNfa, member, singleton, union
@@ -53,7 +52,7 @@ class TestBfs:
 
     def test_regset_target(self):
         inst = anbncn()
-        v = reach_regset(inst.mpda, inst.source, inst.target, OracleBudget(6))
+        v = bfs_reach(inst.mpda, (inst.source,), inst.target, OracleBudget(6))
         assert v.reachable
 
     def test_no_truncation_when_sizes_shrink(self):
@@ -66,6 +65,44 @@ class TestBfs:
             v = reach_config(m, s, t, OracleBudget(max_config_size=s.size))
             assert not v.truncated
             assert v.status in ("reachable", "unreachable")
+
+
+class TestSources:
+    """`bfs_reach` from several sources, drawn one at a time."""
+
+    @staticmethod
+    def machine():
+        # a : A pops A; b : A goes to r; no rule reads a : B
+        x, y = StackSymbol("A", 0), StackSymbol("B", 0)
+        return Mpda(("a", "b", "r"), ((x, y),), (TransitionRule("a", x, "a", ((),)), TransitionRule("b", x, "r", ((),))))
+
+    def test_witness_from_the_first_source_that_reaches(self):
+        m = self.machine()
+
+        def sources():
+            yield cfg(m, "a", "B A")
+            yield cfg(m, "b", "A B")
+            yield cfg(m, "b", "A")
+            raise AssertionError("drawn past the source that reaches")
+
+        v = bfs_reach(m, sources(), cfg(m, "r", "B"), OracleBudget(4))
+        assert v.reachable and v.explored == 3
+        assert v.witness.start == cfg(m, "b", "A B") and len(v.witness.steps) == 1
+        assert replay(m, v.witness) == cfg(m, "r", "B")
+
+    def test_sources_share_the_admitted_nodes_and_the_cap(self):
+        m = self.machine()
+        sources = [cfg(m, "a", "A" + " A" * n) for n in range(4)]  # each reaches the ones before it
+        v = bfs_reach(m, sources, cfg(m, "r", ""), OracleBudget(8))
+        assert (v.status, v.explored) == ("unreachable", 5)  # a : A^4 down to a : eps, each node once
+        for cap in range(5):
+            v = bfs_reach(m, sources, cfg(m, "r", ""), OracleBudget(8, max_explored=cap))
+            assert v.explored <= cap and v.status == "unknown"
+
+    def test_no_sources(self):
+        m = self.machine()
+        v = bfs_reach(m, (), cfg(m, "r", ""), OracleBudget(8))
+        assert (v.status, v.explored, v.truncated) == ("unreachable", 0, False)
 
 
 def counter_ring(rng, k):
@@ -88,7 +125,7 @@ class TestEquivalence:
     def same(m, source, target, budget):
         is_target = target.__eq__ if isinstance(target, Configuration) else (lambda c: member(target, c))
         want = reference_bfs((source,), lambda c: rule_steps(m, c), is_target, budget.max_config_size, budget.max_explored)
-        v = bfs_reach(m, source, target, budget)
+        v = bfs_reach(m, (source,), target, budget)
         w = v.witness
         got = ReferenceResult(v.status, v.explored, v.truncated, w and w.start, w.steps if w else ())
         assert got == want, (m, source, target, budget)

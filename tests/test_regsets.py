@@ -85,6 +85,28 @@ class TestEnumerate:
         got = list(enumerate_members(L, 2))
         assert got == [cfg(m, "q1", "X", ""), cfg(m, "q1", "X B", "")]
 
+    def test_builds_words_only_as_far_as_it_yields(self, monkeypatch):
+        # all words over two symbols: 2^17 - 2 nonempty ones up to size 16,
+        # and the first member, the empty stack, needs none of them
+        a, b = StackSymbol("A", 0), StackSymbol("B", 0)
+        m = Mpda(("q",), ((a, b),), ())
+        nfa = StackNfa((0,), frozenset({0}), frozenset({(0, a, 0), (0, b, 0)}))
+        L = RegSet(m, {"q": Component((nfa,), frozenset({(0,)}))})
+        calls = 0
+        step_set = StackNfa.step_set
+
+        def counted(self, *args):
+            nonlocal calls
+            calls += 1
+            return step_set(self, *args)
+
+        monkeypatch.setattr(StackNfa, "step_set", counted)
+        members = enumerate_members(L, 16)
+        assert next(members) == Configuration("q", ((),))
+        assert calls == 0
+        assert next(members) == Configuration("q", ((a,),))
+        assert calls == 2
+
 
 class TestAlgebraAgainstEnumeration:
     def check_pair(self, m, L, M, probe):

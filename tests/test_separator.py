@@ -7,7 +7,7 @@ from helpers import all_configurations, empty_regset, random_configuration, rand
 from mpda.gadgets import expo, nonreg_forward
 from mpda.marked import decide_regreg, reach_marked
 from mpda.model import Configuration, Mpda, StackSymbol, TransitionRule, replay
-from mpda.oracle import OracleBudget, reach_regset
+from mpda.oracle import OracleBudget, bfs_reach
 from mpda.regsets import (
     Component,
     RegSet,
@@ -166,7 +166,7 @@ class TestSaturationProperties:
                 continue
             M = backward_fixpoint(m, K)
             for c in all_configurations(m, 4):
-                assert member(M, c) == reach_regset(m, c, K, budget).reachable, (m.rules, c)
+                assert member(M, c) == bfs_reach(m, (c,), K, budget).reachable, (m.rules, c)
                 checked += 1
         assert checked > 3000
 
@@ -174,15 +174,18 @@ class TestSaturationProperties:
         seen = Counter()
         for m, ends, L, K in self.instances(99):
             res = decide_separator(m, L, K)
-            seen[res.status] += 1
-            if res.status != "unreachable":
-                continue
-            assert check_separator(m, L, K, res.certificate) is None
-            if ends is not None:
-                assert reach_marked(m, *ends).status == "unreachable"
-            else:  # small caps: "unknown" is allowed, "reachable" is not
-                assert decide_regreg(m, L, K, src_cap=3, tgt_cap=3).status != "reachable"
-        assert seen["unreachable"] >= 50 and seen["reachable"] >= 50
+            seen[res.status, res.detail.get("round")] += 1
+            if res.status == "reachable":
+                assert member(L, res.witness.start) and member(K, replay(m, res.witness))
+                if ends is not None:
+                    assert reach_marked(m, *ends).status == "reachable"
+            elif res.status == "unreachable":
+                assert check_separator(m, L, K, res.certificate) is None
+                if ends is not None:
+                    assert reach_marked(m, *ends).status == "unreachable"
+                else:  # small caps: "unknown" is allowed, "reachable" is not
+                    assert decide_regreg(m, L, K, src_cap=3, tgt_cap=3).status != "reachable"
+        assert seen["unreachable", None] >= 50 and seen["reachable", 1] >= 50 and seen["reachable", 2] >= 1, seen
 
 
 def check_by_products(m, L, K, M):
@@ -230,6 +233,22 @@ class TestDecide:
         assert res.status == "reachable"
         assert member(inst.target, replay(m, res.witness))
         assert member(L, res.witness.start)
+
+    def test_longer_search_skips_sources_outside_the_saturation(self):
+        # a : A pushes any of five symbols on any top and never leaves a, so
+        # it fills both searches' node caps; b : A reaches r : eps in one
+        # step.  Only the saturation's filter lets the longer search past a : A
+        syms = tuple(StackSymbol(n, 0) for n in "ABCDE")
+        a = syms[0]
+        rules = [TransitionRule("a", x, "a", ((x, y),)) for x in syms for y in syms]
+        rules += [TransitionRule(q, x, q, ((),)) for q in "abr" for x in syms]
+        m = Mpda(("a", "b", "r"), (syms,), (*rules, TransitionRule("b", a, "r", ((),))))
+        first, later, end = Configuration("a", ((a,),)), Configuration("b", ((a,),)), Configuration("r", ((),))
+        K = singleton(m, end)
+        assert bfs_reach(m, (first,), K, OracleBudget(14, 12_000)).status == "unknown"
+        res = decide_separator(m, union(singleton(m, first), singleton(m, later)), K)
+        assert (res.status, res.detail["strategy"], res.detail["round"]) == ("reachable", "search", 2)
+        assert res.witness.start == later and replay(m, res.witness) == end
 
     def test_certificate_verify_rejects_wrong_set(self, frozen):
         L = singleton(frozen, cfg(frozen, "q", "A", ""))
